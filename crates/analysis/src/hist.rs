@@ -1,60 +1,120 @@
-//! Fixed-bin-width histograms over durations, with exact extrema.
+//! Fixed-bin-width histograms with exact extrema.
 //!
 //! The simulator delivers millions of per-packet delay samples per run;
 //! storing them raw is wasteful when every figure in the paper is either a
 //! distribution plot (Fig. 8, 12, 13), a CCDF (Figs. 9–11), or a max/jitter
-//! summary (Figs. 7, 14–17). [`DurationHistogram`] keeps counts in fixed
-//! bins *plus* the exact minimum and maximum, so bound checks ("observed
-//! max below calculated upper bound") are not blurred by binning.
+//! summary (Figs. 7, 14–17). A [`Histogram`] keeps counts in fixed bins
+//! *plus* the exact minimum, maximum and sum, so bound checks ("observed
+//! max below calculated upper bound") are not blurred by binning. One type
+//! serves both units the simulator measures: [`DurationHistogram`] for
+//! delays and `lit-net`'s `OccupancyHistogram` for buffer bits.
+//!
+//! Bin counts live in lazily allocated 64-bin pages: a histogram with
+//! thousands of configured bins pays only for the pages its samples touch,
+//! so a network with thousands of sessions keeps full-resolution
+//! distributions in a few kB per session.
 
+use core::marker::PhantomData;
 use lit_sim::Duration;
 
-/// A histogram of [`Duration`] samples with fixed bin width.
-#[derive(Clone, Debug)]
-pub struct DurationHistogram {
-    bin_width: Duration,
-    /// `bins[i]` counts samples in `[i·w, (i+1)·w)`.
-    bins: Vec<u64>,
-    /// Samples at or above `bins.len() · w`.
-    overflow: u64,
-    count: u64,
-    sum_ps: u128,
-    min: Duration,
-    max: Duration,
+/// Bins per page (512 bytes of counts).
+const PAGE_BINS: usize = 64;
+
+fn new_page() -> Box<[u64; PAGE_BINS]> {
+    Box::new([0; PAGE_BINS])
 }
 
-impl DurationHistogram {
-    /// A histogram with `nbins` bins of width `bin_width`; samples beyond
-    /// the last bin land in a single overflow bucket (still counted in all
-    /// aggregate statistics).
+/// A sample unit a [`Histogram`] bins, as a raw `u64`: picoseconds for a
+/// [`Duration`], bits for a buffer occupancy.
+pub trait BinUnit: Copy {
+    /// The raw value.
+    fn raw(self) -> u64;
+    /// The unit value of a raw one.
+    fn from_raw(raw: u64) -> Self;
+}
+
+impl BinUnit for Duration {
+    fn raw(self) -> u64 {
+        self.as_ps()
+    }
+    fn from_raw(raw: u64) -> Self {
+        Duration::from_ps(raw)
+    }
+}
+
+impl BinUnit for u64 {
+    fn raw(self) -> u64 {
+        self
+    }
+    fn from_raw(raw: u64) -> Self {
+        raw
+    }
+}
+
+/// A fixed-bin-width histogram of `U` samples: bin `i` counts samples in
+/// `[i·w, (i+1)·w)`, and samples at or above `nbins · w` land in one
+/// overflow bucket (still counted in every aggregate).
+#[derive(Clone, Debug)]
+pub struct Histogram<U> {
+    width: u64,
+    nbins: usize,
+    /// `pages[p]` counts bins `p·64 .. (p+1)·64`; `None` until touched.
+    pages: Vec<Option<Box<[u64; PAGE_BINS]>>>,
+    overflow: u64,
+    count: u64,
+    sum: u128,
+    min: u64,
+    max: u64,
+    unit: PhantomData<U>,
+}
+
+/// A histogram of [`Duration`] samples.
+pub type DurationHistogram = Histogram<Duration>;
+
+impl<U: BinUnit> Histogram<U> {
+    /// A histogram with `nbins` bins of width `bin_width`; allocates no
+    /// bin page until the first sample.
     ///
     /// # Panics
     /// Panics if `bin_width` is zero or `nbins` is zero.
-    pub fn new(bin_width: Duration, nbins: usize) -> Self {
-        assert!(bin_width > Duration::ZERO, "histogram: zero bin width");
+    pub fn new(bin_width: U, nbins: usize) -> Self {
+        assert!(bin_width.raw() > 0, "histogram: zero bin width");
         assert!(nbins > 0, "histogram: zero bins");
-        DurationHistogram {
-            bin_width,
-            bins: vec![0; nbins],
+        Histogram {
+            width: bin_width.raw(),
+            nbins,
+            pages: Vec::new(),
             overflow: 0,
             count: 0,
-            sum_ps: 0,
-            min: Duration::MAX,
-            max: Duration::ZERO,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+            unit: PhantomData,
         }
     }
 
     /// Record one sample.
-    pub fn record(&mut self, d: Duration) {
+    pub fn record(&mut self, x: U) {
+        let x = x.raw();
         self.count += 1;
-        self.sum_ps += d.as_ps() as u128;
-        self.min = self.min.min(d);
-        self.max = self.max.max(d);
-        let idx = (d.as_ps() / self.bin_width.as_ps()) as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-        } else {
+        self.sum += x as u128;
+        self.min = self.min.min(x);
+        self.max = self.max.max(x);
+        let idx = x / self.width;
+        if idx >= self.nbins as u64 {
             self.overflow += 1;
+            return;
+        }
+        let (p, j) = (idx as usize / PAGE_BINS, idx as usize % PAGE_BINS);
+        if self.pages.len() <= p {
+            self.pages.resize_with(p + 1, || None);
+        }
+        let page = self
+            .pages
+            .get_mut(p)
+            .map(|s| s.get_or_insert_with(new_page));
+        if let Some(c) = page.and_then(|b| b.get_mut(j)) {
+            *c += 1;
         }
     }
 
@@ -64,29 +124,29 @@ impl DurationHistogram {
     }
 
     /// Exact smallest sample, or `None` if empty.
-    pub fn min(&self) -> Option<Duration> {
-        (self.count > 0).then_some(self.min)
+    pub fn min(&self) -> Option<U> {
+        (self.count > 0).then(|| U::from_raw(self.min))
     }
 
     /// Exact largest sample, or `None` if empty.
-    pub fn max(&self) -> Option<Duration> {
-        (self.count > 0).then_some(self.max)
+    pub fn max(&self) -> Option<U> {
+        (self.count > 0).then(|| U::from_raw(self.max))
     }
 
     /// Exact range `max − min` (the paper's *jitter* of a sample set), or
     /// `None` if empty.
-    pub fn spread(&self) -> Option<Duration> {
-        (self.count > 0).then(|| self.max - self.min)
+    pub fn spread(&self) -> Option<U> {
+        (self.count > 0).then(|| U::from_raw(self.max - self.min))
     }
 
     /// Mean of all samples, or `None` if empty.
-    pub fn mean(&self) -> Option<Duration> {
-        (self.count > 0).then(|| Duration::from_ps((self.sum_ps / self.count as u128) as u64))
+    pub fn mean(&self) -> Option<U> {
+        (self.count > 0).then(|| U::from_raw((self.sum / self.count as u128) as u64))
     }
 
     /// The configured bin width.
-    pub fn bin_width(&self) -> Duration {
-        self.bin_width
+    pub fn bin_width(&self) -> U {
+        U::from_raw(self.width)
     }
 
     /// Count in the overflow bucket.
@@ -94,58 +154,83 @@ impl DurationHistogram {
         self.overflow
     }
 
-    /// Raw bin counts: `bin_counts()[i]` counts samples in
-    /// `[i·w, (i+1)·w)`. Exposed for exact count-based comparisons (the
-    /// conformance oracle's ineq.-16 check), where the f64 CCDF helpers
-    /// would round.
-    pub fn bin_counts(&self) -> &[u64] {
-        &self.bins
+    /// Bin pages allocated so far (each holds 64 bins).
+    pub fn pages_allocated(&self) -> usize {
+        self.pages.iter().filter(|p| p.is_some()).count()
+    }
+
+    /// Count of bin `i` (0 for an untouched or out-of-range bin).
+    fn bin(&self, i: usize) -> u64 {
+        let page = self.pages.get(i / PAGE_BINS).and_then(Option::as_deref);
+        page.and_then(|b| b.get(i % PAGE_BINS))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The lower edge of bin `i`.
+    fn edge(&self, i: u64) -> U {
+        U::from_raw(i.saturating_mul(self.width))
+    }
+
+    /// Every bin's count in order, zeros included: the `i`-th counts
+    /// samples in `[i·w, (i+1)·w)`. Exposed for exact count-based
+    /// comparisons (the conformance oracle's ineq.-16 check), where the
+    /// f64 CCDF helpers would round.
+    pub fn bin_counts(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.nbins).map(|i| self.bin(i))
+    }
+
+    /// `(bin index, count)` for every non-empty bin, in index order.
+    fn nonempty(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.pages.iter().enumerate().flat_map(|(p, page)| {
+            page.iter().flat_map(move |b| {
+                b.iter()
+                    .enumerate()
+                    .filter(|&(_, &c)| c > 0)
+                    .map(move |(j, &c)| ((p * PAGE_BINS + j) as u64, c))
+            })
+        })
     }
 
     /// Iterate `(bin_lower_edge, count)` for all non-empty bins.
-    pub fn nonempty_bins(&self) -> impl Iterator<Item = (Duration, u64)> + '_ {
-        self.bins
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(move |(i, &c)| (self.bin_width * i as u64, c))
+    pub fn nonempty_bins(&self) -> impl Iterator<Item = (U, u64)> + '_ {
+        self.nonempty().map(|(i, c)| (self.edge(i), c))
     }
 
     /// Fraction of samples in each bin, `(bin_lower_edge, fraction)`, for
-    /// distribution plots like the paper's Figure 8.
-    pub fn pdf(&self) -> Vec<(Duration, f64)> {
+    /// distribution plots like the paper's Figures 8, 12 and 13.
+    pub fn pdf(&self) -> Vec<(U, f64)> {
         let n = self.count.max(1) as f64;
         self.nonempty_bins()
             .map(|(edge, c)| (edge, c as f64 / n))
             .collect()
     }
 
-    /// Empirical complementary CDF evaluated at the *upper edge* of every
-    /// bin: returns `(d, P(sample > d))` pairs, ending with the exact max.
+    /// Empirical complementary CDF evaluated at the *upper edge* of bin 0
+    /// and of every non-empty bin: returns `(x, P(sample > x))` pairs,
+    /// ending with the exact max if the overflow bucket holds samples.
     ///
     /// Evaluating at upper edges makes the empirical CCDF an exact lower
-    /// bound of the true `P(D > d)` staircase, so comparisons against
+    /// bound of the true `P(X > x)` staircase, so comparisons against
     /// analytic *upper* bounds (ineq. 16, Figs. 9–11) are conservative in
     /// the right direction.
-    pub fn ccdf(&self) -> Vec<(Duration, f64)> {
+    pub fn ccdf(&self) -> Vec<(U, f64)> {
         if self.count == 0 {
             return Vec::new();
         }
         let n = self.count as f64;
         let mut remaining = self.count;
         let mut out = Vec::new();
-        for (i, &c) in self.bins.iter().enumerate() {
-            remaining -= c;
-            if c > 0 || i == 0 {
-                let upper = self.bin_width * (i as u64 + 1);
-                out.push((upper, remaining as f64 / n));
-            }
+        let rest = self.nonempty().filter(|&(i, _)| i > 0);
+        for (i, c) in std::iter::once((0, self.bin(0))).chain(rest) {
+            remaining = remaining.saturating_sub(c);
+            out.push((self.edge(i + 1), remaining as f64 / n));
             if remaining == 0 {
                 break;
             }
         }
         if self.overflow > 0 {
-            out.push((self.max, 0.0));
+            out.push((U::from_raw(self.max), 0.0));
         }
         out
     }
@@ -155,53 +240,70 @@ impl DurationHistogram {
     /// always ≥ the true empirical CCDF — the right direction when the
     /// histogram stands in for a distribution being used as an *upper
     /// bound* (the paper's "simulated upper bound" of Figs. 9–11).
-    pub fn ccdf_at(&self, t: Duration) -> f64 {
+    pub fn ccdf_at(&self, t: U) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
-        let idx = (t.as_ps() / self.bin_width.as_ps()) as usize;
-        let below: u64 = self.bins.iter().take(idx.min(self.bins.len())).sum();
-        (self.count - below) as f64 / self.count as f64
+        let idx = t.raw() / self.width;
+        let below = self.nonempty().take_while(|&(i, _)| i < idx);
+        let below: u64 = below.map(|(_, c)| c).sum();
+        self.count.saturating_sub(below) as f64 / self.count as f64
     }
 
-    /// The smallest duration `d` (resolved to a bin upper edge, or the
-    /// exact max for the last sample) such that at least `q · count`
-    /// samples are `≤ d`. `q` must be in `(0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<Duration> {
+    /// The smallest value `x` (resolved to a bin upper edge, or the exact
+    /// max for the last sample) such that at least `q · count` samples are
+    /// `≤ x`. `q` must be in `(0, 1]`.
+    pub fn quantile(&self, q: f64) -> Option<U> {
         assert!(q > 0.0 && q <= 1.0, "quantile: q out of range");
         if self.count == 0 {
             return None;
         }
         let target = (q * self.count as f64).ceil() as u64;
         let mut cum = 0;
-        for (i, &c) in self.bins.iter().enumerate() {
+        for (i, c) in self.nonempty() {
             cum += c;
             if cum >= target {
-                return Some(self.bin_width * (i as u64 + 1));
+                return Some(self.edge(i + 1));
             }
         }
-        Some(self.max)
+        Some(U::from_raw(self.max))
     }
 
-    /// Merge another histogram with identical bin layout into this one.
+    /// Merge another histogram with identical bin layout into this one
+    /// (used to pool shards and replica runs into one distribution),
+    /// allocating only the pages `other` touched. Counts saturate at
+    /// `u64::MAX` rather than wrapping, so pathological pooling degrades
+    /// the distribution instead of corrupting it.
     ///
     /// # Panics
     /// Panics on mismatched bin width or bin count.
-    pub fn merge(&mut self, other: &DurationHistogram) {
-        assert_eq!(self.bin_width, other.bin_width, "merge: bin width mismatch");
-        assert_eq!(
-            self.bins.len(),
-            other.bins.len(),
-            "merge: bin count mismatch"
-        );
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
+    pub fn merge(&mut self, other: &Self) {
+        assert_eq!(self.width, other.width, "merge: bin width mismatch");
+        assert_eq!(self.nbins, other.nbins, "merge: bin count mismatch");
+        if self.pages.len() < other.pages.len() {
+            self.pages.resize_with(other.pages.len(), || None);
         }
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum_ps += other.sum_ps;
+        for (mine, theirs) in self.pages.iter_mut().zip(&other.pages) {
+            if let Some(theirs) = theirs {
+                let mine = mine.get_or_insert_with(new_page);
+                for (a, b) in mine.iter_mut().zip(theirs.iter()) {
+                    *a = a.saturating_add(*b);
+                }
+            }
+        }
+        self.overflow = self.overflow.saturating_add(other.overflow);
+        self.count = self.count.saturating_add(other.count);
+        self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+impl Histogram<u64> {
+    /// Exact largest sample, 0 if empty — the buffer-occupancy reading of
+    /// [`Histogram::max`].
+    pub fn max_bits(&self) -> u64 {
+        self.max
     }
 }
 
@@ -335,5 +437,42 @@ mod tests {
         let mut a = DurationHistogram::new(ms(1), 10);
         let b = DurationHistogram::new(ms(2), 10);
         a.merge(&b);
+    }
+
+    #[test]
+    fn pages_are_allocated_on_first_touch_only() {
+        let mut h: Histogram<u64> = Histogram::new(1, 4_000);
+        assert_eq!(h.pages_allocated(), 0);
+        h.record(130); // page 2
+        h.record(131);
+        h.record(9_999); // overflow: no page
+        assert_eq!(h.pages_allocated(), 1);
+        assert_eq!(h.bin(130), 1);
+        assert_eq!(h.bin(0), 0);
+        assert_eq!(h.nonempty().collect::<Vec<_>>(), vec![(130, 1), (131, 1)]);
+        assert_eq!(h.bin_counts().count(), 4_000);
+    }
+
+    #[test]
+    fn merge_saturates_instead_of_wrapping() {
+        let mut a: Histogram<u64> = Histogram::new(100, 2);
+        a.record(10);
+        if let Some(Some(page)) = a.pages.get_mut(0) {
+            page[0] = u64::MAX - 1;
+        }
+        a.count = u64::MAX - 1;
+        a.overflow = u64::MAX;
+        let mut b = Histogram::new(100, 2);
+        b.record(10);
+        b.record(10);
+        b.record(500); // overflow
+        a.merge(&b);
+        assert_eq!(a.bin(0), u64::MAX);
+        assert_eq!(a.count(), u64::MAX);
+        assert_eq!(a.overflow_count(), u64::MAX);
+        assert_eq!(a.max_bits(), 500);
+        // Still usable afterwards: probabilities stay in [0, 1].
+        let p = a.ccdf_at(0);
+        assert!((0.0..=1.0).contains(&p));
     }
 }

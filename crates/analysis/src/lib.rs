@@ -3,8 +3,9 @@
 //! * [`Md1`] — exact M/D/1 waiting/sojourn-time distribution
 //!   (Erlang/Crommelin), the analytic reference-server model behind the
 //!   paper's Figures 9–11;
-//! * [`DurationHistogram`] — fixed-bin histograms with exact extrema, for
-//!   delay distributions, CCDFs and jitter measurements;
+//! * [`Histogram`] — fixed-bin histograms with exact extrema and lazily
+//!   paged bins, for delay distributions ([`DurationHistogram`]), buffer
+//!   occupancy, CCDFs and jitter measurements;
 //! * [`OnlineStats`] / [`BusyFraction`] — streaming moments and link
 //!   utilization;
 //! * [`BatchMeans`] — batch-means confidence intervals for steady-state
@@ -19,6 +20,6 @@ mod md1;
 mod stats;
 
 pub use batch::BatchMeans;
-pub use hist::DurationHistogram;
+pub use hist::{BinUnit, DurationHistogram, Histogram};
 pub use md1::Md1;
 pub use stats::{BusyFraction, OnlineStats};

@@ -6,7 +6,7 @@
 //! that many sessions with one Leave-in-Time scheduler and pumps a fixed
 //! number of events through a hierarchical-timer-wheel future-event set:
 //! pop the next (time, session) event, run the eq. 8–11 arrival math
-//! against the struct-of-arrays session columns, re-arm the session.
+//! against the per-session rows, re-arm the session.
 //! That is the executor's per-event skeleton with the O(log n) heap
 //! swapped for the O(1) wheel, measured under the cache pressure of the
 //! full session table — exactly what grows with scale.

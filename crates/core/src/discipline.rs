@@ -32,56 +32,34 @@ use lit_net::{
 };
 use lit_sim::{Duration, Time};
 
-/// Struct-of-arrays per-session state: one flat column per field, indexed
-/// by dense `SessionId`. A scan over many sessions (or a batch over one)
-/// touches contiguous memory instead of hopping across `Option<Struct>`
-/// slots, and every column is a plain fixed-point array the optimizer can
-/// keep in registers across a batch.
+/// One session's eq. 8–11 state at this node. Everything a call reads
+/// sits in one 80-byte row, so an arrival or departure touches one or two
+/// cache lines however many sessions the node carries.
 ///
 /// `k_prev_ps` holds the eq. 11 recursion state with `0` standing in for
 /// "no packet yet": the paper sets `K₀ = t₁`, and since `E₁ ≥ t₁ ≥ 0` the
 /// first packet's base `max{E₁, K₀}` equals `max{E₁, 0} = E₁` — exactly
 /// what the explicit `Option::None` case computed. No sentinel branch.
-#[derive(Default)]
-struct SessionCols {
-    /// Slot occupancy; a packet from a vacant slot is a wiring bug.
-    occupied: Vec<bool>,
-    /// Whether the session requested delay-jitter control (eq. 7 vs 6).
-    jitter: Vec<bool>,
-    /// Reserved rate `r_s` in bit/s — the eq. 11 `L/r` clock.
-    rate_bps: Vec<u64>,
-    /// Per-hop delay assignment, lowered to fixed-point coefficients:
-    /// `d_ps(len) = (len·num_ps + den/2)/den + base_ps`.
-    d_num_ps: Vec<u128>,
-    d_den: Vec<u128>,
-    d_base_ps: Vec<u64>,
-    /// `d_max,s` at this node — enters the holding-time stamp (eq. 9).
-    d_max_ps: Vec<u64>,
+#[derive(Clone, Copy)]
+struct Row {
     /// `K_{i-1,s}` in ps; `0` before the first packet (see above).
-    k_prev_ps: Vec<u64>,
-}
-
-impl SessionCols {
-    fn grow(&mut self, idx: usize) {
-        if self.occupied.len() <= idx {
-            let n = idx + 1;
-            self.occupied.resize(n, false);
-            self.jitter.resize(n, false);
-            self.rate_bps.resize(n, 0);
-            self.d_num_ps.resize(n, 0);
-            self.d_den.resize(n, 1);
-            self.d_base_ps.resize(n, 0);
-            self.d_max_ps.resize(n, 0);
-            self.k_prev_ps.resize(n, 0);
-        }
-    }
+    k_prev_ps: u64,
+    /// Reserved rate `r_s` in bit/s — the eq. 11 `L/r` clock.
+    rate_bps: u64,
+    /// Per-hop delay assignment, lowered to fixed-point coefficients.
+    coeffs: lit_net::DelayCoeffs,
+    /// `d_max,s` at this node — enters the holding-time stamp (eq. 9).
+    d_max_ps: u64,
+    /// Whether the session requested delay-jitter control (eq. 7 vs 6).
+    jitter: bool,
 }
 
 /// One Leave-in-Time scheduler instance (one per server node).
 pub struct LitDiscipline {
     link: LinkParams,
-    /// Dense per-session columns, indexed by `SessionId`.
-    cols: SessionCols,
+    /// Per-session rows indexed by dense `SessionId`; `None` is a vacant
+    /// slot, and a packet from one is a wiring bug.
+    rows: Vec<Option<Row>>,
 }
 
 impl LitDiscipline {
@@ -89,7 +67,7 @@ impl LitDiscipline {
     pub fn new(link: LinkParams) -> Self {
         LitDiscipline {
             link,
-            cols: SessionCols::default(),
+            rows: Vec::new(),
         }
     }
 
@@ -98,14 +76,21 @@ impl LitDiscipline {
         |link: &LinkParams| Box::new(LitDiscipline::new(*link)) as Box<dyn Discipline>
     }
 
-    /// Occupancy guard shared by the packet-facing entry points.
+    /// The row of a registered session; panics on a vacant slot.
     #[inline]
-    fn check_registered(&self, idx: usize) {
-        assert!(
-            self.cols.occupied.get(idx).copied().unwrap_or(false),
-            "packet from unregistered session"
-        );
+    fn row(&mut self, id: SessionId) -> &mut Row {
+        match self.rows.get_mut(id.index()) {
+            Some(Some(row)) => row,
+            _ => unregistered(),
+        }
     }
+}
+
+#[cold]
+#[track_caller]
+fn unregistered() -> ! {
+    // lit-lint: allow(no-panic-hot-path, "a packet from a session never registered at this node is a wiring bug the run must not survive")
+    panic!("packet from unregistered session")
 }
 
 impl Discipline for LitDiscipline {
@@ -115,65 +100,41 @@ impl Discipline for LitDiscipline {
 
     fn register_session(&mut self, spec: &SessionSpec, delay: &DelayAssignment) {
         let idx = spec.id.index();
-        let c = &mut self.cols;
-        c.grow(idx);
-        let coeffs = delay.coeffs(spec.rate_bps);
-        // Registration-time writes, in-bounds by the grow() above.
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
-        c.occupied[idx] = true;
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
-        c.jitter[idx] = spec.jitter_control;
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
-        c.rate_bps[idx] = spec.rate_bps;
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
-        c.d_num_ps[idx] = coeffs.num_ps;
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
-        c.d_den[idx] = coeffs.den;
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
-        c.d_base_ps[idx] = coeffs.base_ps;
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
-        c.d_max_ps[idx] = delay.d_max(spec.max_len_bits, spec.rate_bps).as_ps();
-        // Fresh K-recursion: a reused slot must start at K₀ = t₁.
-        // lit-lint: allow(no-panic-hot-path, "in-bounds by grow(idx) directly above")
-        c.k_prev_ps[idx] = 0;
+        if self.rows.len() <= idx {
+            self.rows.resize(idx + 1, None);
+        }
+        if let Some(slot) = self.rows.get_mut(idx) {
+            // A fresh row also restarts the K-recursion at K₀ = t₁.
+            *slot = Some(Row {
+                k_prev_ps: 0,
+                rate_bps: spec.rate_bps,
+                coeffs: delay.coeffs(spec.rate_bps),
+                d_max_ps: delay.d_max(spec.max_len_bits, spec.rate_bps).as_ps(),
+                jitter: spec.jitter_control,
+            });
+        }
     }
 
     fn unregister_session(&mut self, id: SessionId) {
-        if let Some(slot) = self.cols.occupied.get_mut(id.index()) {
-            *slot = false;
+        if let Some(slot) = self.rows.get_mut(id.index()) {
+            *slot = None;
         }
     }
 
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
-        let idx = pkt.session.index();
-        self.check_registered(idx);
-        let c = &mut self.cols;
+        let row = self.row(pkt.session);
 
         // Eligibility: eq. (6) / (7). `pkt.hold` is Aⁿ from upstream
         // (zero at the first hop per eq. 8).
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-        let eligible = if c.jitter[idx] { now + pkt.hold } else { now };
+        let eligible = if row.jitter { now + pkt.hold } else { now };
 
         // Deadline: eq. (10)–(11), with K₀ = t₁ making the first base
         // simply E₁ (since E₁ ≥ t₁ ≥ 0 = the fresh-slot K value).
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-        let k_prev = c.k_prev_ps[idx];
-        let base = eligible.max(Time::from_ps(k_prev));
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-        let rate = c.rate_bps[idx];
-        let coeffs = lit_net::DelayCoeffs {
-            // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-            num_ps: c.d_num_ps[idx],
-            // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-            den: c.d_den[idx],
-            // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-            base_ps: c.d_base_ps[idx],
-        };
-        let d = Duration::from_ps(coeffs.d_ps(pkt.len_bits));
+        let base = eligible.max(Time::from_ps(row.k_prev_ps));
+        let d = Duration::from_ps(row.coeffs.d_ps(pkt.len_bits));
         let f = base + d;
-        let k = base + Duration::from_bits_at_rate(pkt.len_bits as u64, rate);
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-        c.k_prev_ps[idx] = k.as_ps();
+        let k = base + Duration::from_bits_at_rate(pkt.len_bits as u64, row.rate_bps);
+        row.k_prev_ps = k.as_ps();
 
         pkt.deadline = f;
         pkt.d = d;
@@ -186,30 +147,16 @@ impl Discipline for LitDiscipline {
         now: Time,
         out: &mut Vec<ScheduleDecision>,
     ) {
-        let Some(first) = pkts.first() else { return };
-        let idx = first.session.index();
-        self.check_registered(idx);
-        let c = &mut self.cols;
+        let Some(sid) = pkts.first().map(|p| p.session) else {
+            return;
+        };
+        let row = self.row(sid);
 
-        // Hoist the session's columns into locals once per batch: the
-        // eq. 8–11 recursion then runs over plain u64 ps values with no
+        // The eq. 8–11 recursion runs over plain u64 ps values with no
         // per-packet table loads or enum dispatch. Every arithmetic step
         // is the checked twin of the operator the scalar path uses, so
         // results (and overflow panics) are bit-identical.
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-        let jitter = c.jitter[idx];
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-        let rate = c.rate_bps[idx];
-        let coeffs = lit_net::DelayCoeffs {
-            // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-            num_ps: c.d_num_ps[idx],
-            // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-            den: c.d_den[idx],
-            // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-            base_ps: c.d_base_ps[idx],
-        };
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-        let mut k_prev = c.k_prev_ps[idx];
+        let mut k_prev = row.k_prev_ps;
         let now_ps = now.as_ps();
         out.reserve(pkts.len());
 
@@ -220,8 +167,8 @@ impl Discipline for LitDiscipline {
         let mut memo_d_ps = 0u64;
         let mut memo_lr_ps = 0u64;
         for pkt in pkts.iter_mut() {
-            debug_assert_eq!(pkt.session.index(), idx, "mixed-session batch");
-            let e_ps = if jitter {
+            debug_assert_eq!(pkt.session, sid, "mixed-session batch");
+            let e_ps = if row.jitter {
                 now_ps
                     .checked_add(pkt.hold.as_ps())
                     // lit-lint: allow(no-panic-hot-path, "same failure as the scalar path's `now + pkt.hold`: an eligibility past the clock horizon must stop the run")
@@ -231,8 +178,8 @@ impl Discipline for LitDiscipline {
             };
             if pkt.len_bits != memo_len {
                 memo_len = pkt.len_bits;
-                memo_d_ps = coeffs.d_ps(memo_len);
-                memo_lr_ps = Duration::from_bits_at_rate(memo_len as u64, rate).as_ps();
+                memo_d_ps = row.coeffs.d_ps(memo_len);
+                memo_lr_ps = Duration::from_bits_at_rate(memo_len as u64, row.rate_bps).as_ps();
             }
             let base_ps = e_ps.max(k_prev);
             let f_ps = base_ps
@@ -250,15 +197,11 @@ impl Discipline for LitDiscipline {
                 key: f_ps as u128,
             });
         }
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-        c.k_prev_ps[idx] = k_prev;
+        row.k_prev_ps = k_prev;
     }
 
     fn on_departure(&mut self, pkt: &mut Packet, finish: Time) {
-        let idx = pkt.session.index();
-        self.check_registered(idx);
-        // lit-lint: allow(no-panic-hot-path, "in-bounds: check_registered proved occupied[idx], and all columns share one length")
-        let d_max = Duration::from_ps(self.cols.d_max_ps[idx]);
+        let d_max = Duration::from_ps(self.row(pkt.session).d_max_ps);
         // Holding time for the next hop, eq. (9):
         //   A = (F + L_MAX/C − F̂) + (d_max − d_i).
         // Both parenthesized terms are provably non-negative; computed in
@@ -471,6 +414,12 @@ mod tests {
             (out, stamps, tail_dec)
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn a_session_row_fits_in_80_bytes() {
+        // The vacant-slot `None` lives in the `jitter` flag's niche.
+        assert!(std::mem::size_of::<Option<Row>>() <= 80);
     }
 
     #[test]

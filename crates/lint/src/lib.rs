@@ -91,6 +91,8 @@ impl Default for Config {
                 "crates/core/src/refserver.rs",
                 "crates/core/src/admission/fast.rs",
                 "crates/obs/src/probe.rs",
+                "crates/analysis/src/hist.rs",
+                "crates/net/src/stats.rs",
             ]
             .map(String::from)
             .to_vec(),

@@ -3,9 +3,10 @@
 //!
 //! The hot paths (configured in [`Config::hot_paths`], by default the
 //! executor, the eligible queues, the event set, the LiT discipline, the
-//! reference server, and the probe hooks) run once or more per simulated
-//! packet per hop. A panic there aborts a multi-minute run — or, in the
-//! production-scheduler future the ROADMAP names, drops live traffic.
+//! reference server, the probe hooks, and the statistics histograms)
+//! run once or more per simulated packet per hop. A panic there aborts a
+//! multi-minute run — or, in the production-scheduler future the ROADMAP
+//! names, drops live traffic.
 //! Every surviving call must either become a typed error or carry an
 //! allow annotation whose justification states the invariant that makes
 //! it unreachable.

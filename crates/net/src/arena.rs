@@ -1,23 +1,29 @@
 //! Generational packet arena: allocation-free packet storage for the
 //! executor's hot loop.
 //!
-//! Every packet in flight inside one shard lives in one [`PacketArena`]
-//! slot; events and eligible queues carry a dense 8-byte [`PacketRef`]
-//! instead of the ~80-byte [`Packet`] itself, so event-set entries stay
-//! small and moving them never copies scheduler scratch fields around.
-//! Slots are recycled through an in-place free list on delivery, drop, or
-//! cross-shard handoff, so steady-state simulation performs **zero**
-//! allocator traffic: capacity grows to the high-water mark of
-//! concurrently live packets and then stays put, the same bounded-churn
-//! contract [`crate::IdSlab`] gives session ids.
+//! Both engines park every packet in flight in a [`PacketArena`] slot —
+//! the scalar engine one arena for the whole network, the sharded engine
+//! one per shard. Events, eligible queues, regulator FIFOs and the
+//! in-service slot carry a dense 8-byte [`PacketRef`] instead of the
+//! ~72-byte [`Packet`] itself, so a future-event entry fits in 32 bytes
+//! and moving it never copies scheduler scratch fields around. In the
+//! scalar engine a packet held by a per-session regulator also parks its
+//! priority key and eligibility instant here ([`PacketArena::park`]), in
+//! a column touched only by held packets. Slots are recycled through an
+//! in-place free list on delivery or cross-shard handoff, so steady-state
+//! simulation performs **zero** allocator traffic: capacity grows to the
+//! high-water mark of concurrently live packets and then stays put, the
+//! same bounded-churn contract [`crate::IdSlab`] gives session ids.
 //!
 //! References are *generational*: each slot carries a generation counter
 //! bumped on free, and a [`PacketRef`] embeds the generation it was minted
 //! with. A stale reference (use after free/take) is therefore detected
 //! instead of silently aliasing an unrelated packet — `get`/`take` return
-//! `None` and the executor's debug assertions catch the wiring bug.
+//! `None`, and the executors' accessors (`packet`, `packet_mut`, `remove`)
+//! stop the run on the wiring bug.
 
 use crate::packet::Packet;
+use lit_sim::Time;
 
 /// A dense generational handle into a [`PacketArena`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,6 +54,9 @@ pub struct PacketArena {
     slots: Vec<Slot>,
     free: Vec<u32>,
     live: usize,
+    /// `(priority key, eligibility instant)` of a held packet, by slot
+    /// index; grown on the first [`Self::park`] that needs the room.
+    parked: Vec<(u128, Time)>,
 }
 
 impl Default for PacketArena {
@@ -63,15 +72,7 @@ impl PacketArena {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-        }
-    }
-
-    /// An empty arena with room for `cap` packets before any reallocation.
-    pub fn with_capacity(cap: usize) -> Self {
-        PacketArena {
-            slots: Vec::with_capacity(cap),
-            free: Vec::new(),
-            live: 0,
+            parked: Vec::new(),
         }
     }
 
@@ -118,6 +119,48 @@ impl PacketArena {
         self.live -= 1;
         self.free.push(r.idx);
         Some(slot.pkt)
+    }
+
+    /// The live packet behind `r`. Events and queues carry only live
+    /// references, so a stale one is an executor wiring bug the run must
+    /// not survive.
+    #[track_caller]
+    pub fn packet(&self, r: PacketRef) -> &Packet {
+        // lit-lint: allow(no-panic-hot-path, "executor invariant: events, queues and the in-service slot carry only live references")
+        self.get(r).expect("stale packet reference")
+    }
+
+    /// Mutable [`Self::packet`].
+    #[track_caller]
+    pub fn packet_mut(&mut self, r: PacketRef) -> &mut Packet {
+        // lit-lint: allow(no-panic-hot-path, "executor invariant: events, queues and the in-service slot carry only live references")
+        self.get_mut(r).expect("stale packet reference")
+    }
+
+    /// [`Self::take`] for a reference the executor holds live.
+    #[track_caller]
+    pub fn remove(&mut self, r: PacketRef) -> Packet {
+        // lit-lint: allow(no-panic-hot-path, "executor invariant: events, queues and the in-service slot carry only live references")
+        self.take(r).expect("stale packet reference")
+    }
+
+    /// Park a held packet's priority key and eligibility instant with it
+    /// until its release.
+    pub fn park(&mut self, r: PacketRef, key: u128, at: Time) {
+        if self.parked.len() <= r.index() {
+            self.parked.resize(r.index() + 1, (0, Time::ZERO));
+        }
+        if let Some(slot) = self.parked.get_mut(r.index()) {
+            *slot = (key, at);
+        }
+    }
+
+    /// What [`Self::park`] last stored in `r`'s slot.
+    pub fn parked(&self, r: PacketRef) -> (u128, Time) {
+        self.parked
+            .get(r.index())
+            .copied()
+            .unwrap_or((0, Time::ZERO))
     }
 
     /// Packets currently live.
@@ -200,5 +243,27 @@ mod tests {
         let r = a.alloc(pkt(7));
         a.get_mut(r).unwrap().hop = 3;
         assert_eq!(a.get(r).unwrap().hop, 3);
+    }
+
+    #[test]
+    fn parked_key_and_instant_stay_with_the_slot() {
+        let mut a = PacketArena::new();
+        let r1 = a.alloc(pkt(1));
+        let r2 = a.alloc(pkt(2));
+        a.park(r2, 42, Time::from_ms(3));
+        assert_eq!(a.parked(r2), (42, Time::from_ms(3)));
+        assert_eq!(a.parked(r1), (0, Time::ZERO), "never parked");
+        assert_eq!(a.packet(r2).seq, 2);
+        a.packet_mut(r1).hop = 2;
+        assert_eq!(a.remove(r1).hop, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale packet reference")]
+    fn stale_reference_panics_on_the_executor_accessors() {
+        let mut a = PacketArena::new();
+        let r = a.alloc(pkt(1));
+        a.remove(r);
+        a.packet(r);
     }
 }

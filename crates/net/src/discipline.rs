@@ -199,9 +199,9 @@ pub trait Discipline: Send {
     /// order; must be observably identical to calling [`Self::on_arrival`]
     /// on each packet in turn (the default does exactly that).
     ///
-    /// Struct-of-arrays disciplines override this to amortize dispatch
-    /// and per-session state loads across the batch and run the eq. 8–11
-    /// recursion over flat fixed-point arrays.
+    /// Disciplines override this to amortize dispatch and per-session
+    /// state loads across the batch and run the eq. 8–11 recursion over
+    /// plain fixed-point values.
     fn on_arrival_batch(
         &mut self,
         pkts: &mut [Packet],

@@ -12,6 +12,7 @@
 //! propagation delay, matching the `Σ (L_MAX/Cₙ + Γₙ)` structure of the
 //! paper's β constant.
 
+use crate::arena::{PacketArena, PacketRef};
 use crate::discipline::{
     Discipline, DisciplineFactory, RegFifo, RegulatorBackend, ScheduleDecision,
 };
@@ -43,13 +44,13 @@ fn pview(pkt: &Packet) -> PacketView {
 struct NodeRt {
     link: LinkParams,
     discipline: Box<dyn Discipline>,
-    queue: EligibleQueue<Packet>,
+    queue: EligibleQueue<PacketRef>,
     /// The packet currently being transmitted, if any.
-    current: Option<Packet>,
+    current: Option<PacketRef>,
     /// The shared head-gated regulator FIFO of this node. Only populated
     /// under [`RegulatorBackend::Interleaved`]; stays empty (and costs
     /// nothing) under the per-session backend.
-    fifo: RegFifo<Packet>,
+    fifo: RegFifo<PacketRef>,
 }
 
 /// Runtime state of one session.
@@ -66,16 +67,19 @@ struct SessionRt {
     ref_w: Option<Time>,
 }
 
-/// Events of the executor.
+/// Events of the executor. Packets stay in the engine's arena and events
+/// name them by reference, so an event is 16 bytes and a future-event
+/// entry 32.
 enum Event {
     /// Inject the pending emission of session `sid` (arrival at hop 0).
     Inject { sid: u32 },
     /// A packet's last bit arrives at its current hop's node.
-    Arrive { pkt: Packet },
-    /// A regulated packet becomes eligible at its node. `at` is the
-    /// eligibility instant the regulator computed; the oracle verifies
-    /// the executor releases the packet exactly then.
-    Eligible { pkt: Packet, key: u128, at: Time },
+    Arrive { p: PacketRef },
+    /// A regulated packet becomes eligible at its node. Its priority key
+    /// and the eligibility instant the regulator computed are parked with
+    /// it in the arena; the oracle verifies the executor releases the
+    /// packet exactly then.
+    Eligible { p: PacketRef },
     /// The head of `node`'s shared interleaved-regulator FIFO reaches its
     /// eligibility instant `at`: release every leading entry whose own
     /// eligibility has passed, then re-arm at the new head's instant.
@@ -393,7 +397,9 @@ impl NetworkBuilder {
             session_stats,
             oracle,
             probe,
+            arena: PacketArena::new(),
             batch_arrivals,
+            batch_refs: Vec::new(),
             batch_pkts: Vec::new(),
             batch_out: Vec::new(),
             regulator: self.regulator,
@@ -414,10 +420,13 @@ pub(crate) struct ScalarNet {
     session_stats: Vec<SessionStats>,
     oracle: OracleRt,
     probe: Option<Box<dyn Probe>>,
+    /// Every packet in flight, from injection to delivery.
+    arena: PacketArena,
     /// Batched-arrival dispatch enabled (see
     /// [`NetworkBuilder::batch_arrivals`]).
     batch_arrivals: bool,
     /// Scratch buffers reused across batches (capacity persists).
+    batch_refs: Vec<PacketRef>,
     batch_pkts: Vec<Packet>,
     batch_out: Vec<ScheduleDecision>,
     /// How the nodes realize their delay regulators (see
@@ -487,50 +496,53 @@ impl ScalarNet {
     fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::Inject { sid } => self.inject(sid),
-            Event::Arrive { pkt } if self.batch_arrivals => self.arrive_batched(pkt),
-            Event::Arrive { pkt } => self.arrive(pkt),
-            Event::Eligible { pkt, key, at } => {
-                // Resolved only for reporting; u32::MAX is the probes'
-                // "unknown node" convention, so a bad id degrades the
-                // report instead of killing the run.
-                let node = self
-                    .sessions
-                    .get(pkt.session.index())
-                    .and_then(|s| s.hops.get(pkt.hop as usize))
-                    .map_or(u32::MAX, |h| h.0);
-                if self.oracle.enabled() && self.now != at {
-                    let now = self.now;
-                    self.oracle.violate(ViolationKind::ReleaseTime, || {
-                        format!(
-                            "session {} seq {} released at {now}, eligibility was {at}",
-                            pkt.session.0, pkt.seq
-                        )
-                    });
-                    if let Some(p) = self.probe.as_deref_mut() {
-                        p.on_violation(
-                            now,
-                            ViolationKind::ReleaseTime.label(),
-                            pkt.session.0,
-                            pkt.seq,
-                            node,
-                        );
-                    }
-                }
-                // This event only exists for packets the regulator held
-                // (`E > arrival`), so `now − arrived` is the holding time
-                // of eq. 8–9 and is strictly positive.
-                if let Some(p) = self.probe.as_deref_mut() {
-                    let held = self
-                        .now
-                        .checked_since(pkt.arrived)
-                        .unwrap_or(Duration::ZERO);
-                    p.on_eligible(self.now, node, pview(&pkt), held);
-                }
-                self.enqueue_eligible(node, pkt, key);
-            }
+            Event::Arrive { p } if self.batch_arrivals => self.arrive_batched(p),
+            Event::Arrive { p } => self.arrive(p),
+            Event::Eligible { p } => self.eligible(p),
             Event::RegFire { node, at } => self.reg_fire(node, at),
             Event::TxDone { node } => self.tx_done(node),
         }
+    }
+
+    /// A packet the per-session regulator held reaches its eligibility
+    /// instant: hand it to its node's eligible queue.
+    fn eligible(&mut self, p: PacketRef) {
+        let pkt = *self.arena.packet(p);
+        let (key, at) = self.arena.parked(p);
+        // Resolved only for reporting; u32::MAX is the probes'
+        // "unknown node" convention, so a bad id degrades the
+        // report instead of killing the run.
+        let node = self
+            .sessions
+            .get(pkt.session.index())
+            .and_then(|s| s.hops.get(pkt.hop as usize))
+            .map_or(u32::MAX, |h| h.0);
+        if self.oracle.enabled() && self.now != at {
+            let now = self.now;
+            self.oracle.report(
+                self.probe.as_deref_mut(),
+                ViolationKind::ReleaseTime,
+                now,
+                (pkt.session.0, pkt.seq, node),
+                || {
+                    format!(
+                        "session {} seq {} released at {now}, eligibility was {at}",
+                        pkt.session.0, pkt.seq
+                    )
+                },
+            );
+        }
+        // This event only exists for packets the regulator held
+        // (`E > arrival`), so `now − arrived` is the holding time
+        // of eq. 8–9 and is strictly positive.
+        if let Some(probe) = self.probe.as_deref_mut() {
+            let held = self
+                .now
+                .checked_since(pkt.arrived)
+                .unwrap_or(Duration::ZERO);
+            probe.on_eligible(self.now, node, pview(&pkt), held);
+        }
+        self.enqueue_eligible(node, p, key);
     }
 
     /// The head of `node_idx`'s interleaved-regulator FIFO reached its
@@ -572,50 +584,43 @@ impl ScalarNet {
             let ceiling_ps = node.fifo.max_hold_ps;
             node.fifo.last_release = self.now;
             let now = self.now;
+            let pkt = *self.arena.packet(entry.item);
             if self.oracle.enabled() {
                 if now != expected {
-                    self.oracle.violate(ViolationKind::RegulatorFifo, || {
-                        format!(
-                            "node {node_idx} session {} seq {}: released at {now}, \
-                             interleaved regulator requires max(last release, E) = {expected}",
-                            entry.item.session.0, entry.item.seq
-                        )
-                    });
-                    if let Some(p) = self.probe.as_deref_mut() {
-                        p.on_violation(
-                            now,
-                            ViolationKind::RegulatorFifo.label(),
-                            entry.item.session.0,
-                            entry.item.seq,
-                            node_idx,
-                        );
-                    }
+                    self.oracle.report(
+                        self.probe.as_deref_mut(),
+                        ViolationKind::RegulatorFifo,
+                        now,
+                        (pkt.session.0, pkt.seq, node_idx),
+                        || {
+                            format!(
+                                "node {node_idx} session {} seq {}: released at {now}, \
+                                 interleaved regulator requires max(last release, E) = {expected}",
+                                pkt.session.0, pkt.seq
+                            )
+                        },
+                    );
                 }
                 let shaping_ps = now.checked_since(entry.eligible).map_or(0, |d| d.as_ps());
                 if shaping_ps > ceiling_ps {
-                    self.oracle.violate(ViolationKind::ShapingBound, || {
-                        format!(
-                            "node {node_idx} session {} seq {}: held {shaping_ps} ps past \
-                             its eligibility, service-curve ceiling is {ceiling_ps} ps",
-                            entry.item.session.0, entry.item.seq
-                        )
-                    });
-                    if let Some(p) = self.probe.as_deref_mut() {
-                        p.on_violation(
-                            now,
-                            ViolationKind::ShapingBound.label(),
-                            entry.item.session.0,
-                            entry.item.seq,
-                            node_idx,
-                        );
-                    }
+                    self.oracle.report(
+                        self.probe.as_deref_mut(),
+                        ViolationKind::ShapingBound,
+                        now,
+                        (pkt.session.0, pkt.seq, node_idx),
+                        || {
+                            format!(
+                                "node {node_idx} session {} seq {}: held {shaping_ps} ps past \
+                                 its eligibility, service-curve ceiling is {ceiling_ps} ps",
+                                pkt.session.0, pkt.seq
+                            )
+                        },
+                    );
                 }
             }
             if let Some(p) = self.probe.as_deref_mut() {
-                let held = now
-                    .checked_since(entry.item.arrived)
-                    .unwrap_or(Duration::ZERO);
-                p.on_eligible(now, node_idx, pview(&entry.item), held);
+                let held = now.checked_since(pkt.arrived).unwrap_or(Duration::ZERO);
+                p.on_eligible(now, node_idx, pview(&pkt), held);
             }
             self.enqueue_eligible(node_idx, entry.item, entry.key);
         }
@@ -653,77 +658,75 @@ impl ScalarNet {
         st.injected += 1;
         st.reference.record(pkt.ref_delay);
 
-        self.arrive(pkt);
+        let p = self.arena.alloc(pkt);
+        self.arrive(p);
     }
 
     /// A packet's last bit arrives at its current hop.
-    fn arrive(&mut self, mut pkt: Packet) {
+    fn arrive(&mut self, p: PacketRef) {
+        let now = self.now;
+        let pkt = self.arena.packet_mut(p);
         let sid = pkt.session.index();
         let hop = pkt.hop as usize;
         // lit-lint: allow(no-panic-hot-path, "executor invariant: packets carry the session id and hop index they were routed with at build")
         let node_idx = self.sessions[sid].hops[hop].0 as usize;
-        pkt.arrived = self.now;
+        pkt.arrived = now;
 
         // Buffer occupancy, sampled as the paper does: at last-bit arrival,
         // counting the arriving packet and any packet in transmission.
         // lit-lint: allow(no-panic-hot-path, "session_stats is built with one entry per session; sid comes from the packet's build-time id")
         self.session_stats[sid].occupy(hop, pkt.len_bits as u64);
 
-        if let Some(p) = self.probe.as_deref_mut() {
+        if let Some(probe) = self.probe.as_deref_mut() {
             let depth = self.nodes.get(node_idx).map_or(0, |n| n.queue.len());
             let events = self.events.len();
-            p.on_arrive(self.now, node_idx as u32, pview(&pkt), depth, events);
+            probe.on_arrive(now, node_idx as u32, pview(pkt), depth, events);
         }
 
         // lit-lint: allow(no-panic-hot-path, "executor invariant: node ids come from the build-time topology")
         let node = &mut self.nodes[node_idx];
-        let decision = node.discipline.on_arrival(&mut pkt, self.now);
+        let decision = node.discipline.on_arrival(pkt, now);
+        let seq = pkt.seq;
         debug_assert!(
-            decision.eligible >= self.now,
+            decision.eligible >= now,
             "discipline produced an eligibility time in the past"
         );
         if self.oracle.enabled() {
             // Regulator invariants (eq. 6–7): E is per-session monotone
             // at every hop, and never lies in the past.
-            let now = self.now;
             // lit-lint: allow(no-panic-hot-path, "oracle state is sized per session and hop at build, same shape as the route")
             let last = &mut self.oracle.last_eligible[sid][hop];
             if decision.eligible < *last {
                 let prev = *last;
-                self.oracle.violate(ViolationKind::EligibilityOrder, || {
-                    format!(
-                        "session {sid} hop {hop} seq {}: eligibility {} < previous {prev}",
-                        pkt.seq, decision.eligible
-                    )
-                });
-                if let Some(p) = self.probe.as_deref_mut() {
-                    p.on_violation(
-                        now,
-                        ViolationKind::EligibilityOrder.label(),
-                        sid as u32,
-                        pkt.seq,
-                        node_idx as u32,
-                    );
-                }
+                self.oracle.report(
+                    self.probe.as_deref_mut(),
+                    ViolationKind::EligibilityOrder,
+                    now,
+                    (sid as u32, seq, node_idx as u32),
+                    || {
+                        format!(
+                            "session {sid} hop {hop} seq {seq}: eligibility {} < previous {prev}",
+                            decision.eligible
+                        )
+                    },
+                );
             } else {
                 *last = decision.eligible;
             }
             if decision.eligible < now {
-                self.oracle.violate(ViolationKind::ReleaseTime, || {
-                    format!(
-                        "session {sid} hop {hop} seq {}: eligibility {} before arrival {now}",
-                        pkt.seq, decision.eligible
-                    )
-                });
-                if let Some(p) = self.probe.as_deref_mut() {
-                    p.on_violation(
-                        now,
-                        ViolationKind::ReleaseTime.label(),
-                        sid as u32,
-                        pkt.seq,
-                        node_idx as u32,
-                    );
-                }
+                self.oracle.report(
+                    self.probe.as_deref_mut(),
+                    ViolationKind::ReleaseTime,
+                    now,
+                    (sid as u32, seq, node_idx as u32),
+                    || {
+                        let e = decision.eligible;
+                        format!(
+                            "session {sid} hop {hop} seq {seq}: eligibility {e} \
+                             before arrival {now}"
+                        )
+                    },
+                );
             }
         }
         if self.regulator == RegulatorBackend::Interleaved {
@@ -737,10 +740,9 @@ impl ScalarNet {
             let node = &mut self.nodes[node_idx];
             // lit-lint: allow(no-panic-hot-path, "executor invariant: packets carry the session id they were routed with at build")
             let jc = self.sessions[sid].spec.jitter_control;
-            if decision.eligible > self.now || (jc && !node.fifo.queue.is_empty()) {
+            if decision.eligible > now || (jc && !node.fifo.queue.is_empty()) {
                 let was_empty = node.fifo.queue.is_empty();
-                node.fifo
-                    .join(pkt, decision.key, decision.eligible, self.now);
+                node.fifo.join(p, decision.key, decision.eligible, now);
                 if was_empty {
                     // Joining an empty FIFO implies `E > now`, so the
                     // head timer is always armed strictly in the future.
@@ -753,19 +755,21 @@ impl ScalarNet {
                     );
                 }
             } else {
-                self.enqueue_eligible(node_idx as u32, pkt, decision.key);
+                self.enqueue_eligible(node_idx as u32, p, decision.key);
             }
-        } else if decision.eligible > self.now {
-            self.events.push(
-                decision.eligible,
-                Event::Eligible {
-                    pkt,
-                    key: decision.key,
-                    at: decision.eligible,
-                },
-            );
         } else {
-            self.enqueue_eligible(node_idx as u32, pkt, decision.key);
+            self.hold_or_enqueue(node_idx as u32, p, decision);
+        }
+    }
+
+    /// Per-session regulator: park a packet whose eligibility lies ahead
+    /// until then, else queue it for transmission now.
+    fn hold_or_enqueue(&mut self, node_idx: u32, p: PacketRef, decision: ScheduleDecision) {
+        if decision.eligible > self.now {
+            self.arena.park(p, decision.key, decision.eligible);
+            self.events.push(decision.eligible, Event::Eligible { p });
+        } else {
+            self.enqueue_eligible(node_idx, p, decision.key);
         }
     }
 
@@ -782,20 +786,28 @@ impl ScalarNet {
     /// processing would emit them — so every downstream event gets the
     /// identical timestamp *and* sequence number. Only reached when no
     /// probe/oracle is installed (see [`NetworkBuilder::batch_arrivals`]).
-    fn arrive_batched(&mut self, first: Packet) {
-        let sid = first.session;
-        let hop = first.hop;
+    fn arrive_batched(&mut self, first: PacketRef) {
+        let head = self.arena.packet(first);
+        let (sid, hop) = (head.session, head.hop);
         let now = self.now;
-        let mut batch = std::mem::take(&mut self.batch_pkts);
-        batch.clear();
-        batch.push(first);
+        let mut refs = std::mem::take(&mut self.batch_refs);
+        refs.clear();
+        refs.push(first);
+        let arena = &self.arena;
         while let Some((_, ev)) = self.events.pop_if(|at, ev| {
-            at == now && matches!(ev, Event::Arrive { pkt } if pkt.session == sid && pkt.hop == hop)
+            at == now
+                && matches!(ev, Event::Arrive { p }
+                    if arena.get(*p).is_some_and(|k| k.session == sid && k.hop == hop))
         }) {
-            if let Event::Arrive { pkt } = ev {
-                batch.push(pkt);
+            if let Event::Arrive { p } = ev {
+                refs.push(p);
             }
         }
+        // Copy the run out of the arena ([`Packet`] is `Copy`), batch
+        // it, and write the stamped packets back.
+        let mut batch = std::mem::take(&mut self.batch_pkts);
+        batch.clear();
+        batch.extend(refs.iter().map(|&r| *self.arena.packet(r)));
         let sidx = sid.index();
         let hopx = hop as usize;
         // lit-lint: allow(no-panic-hot-path, "executor invariant: packets carry the session id and hop index they were routed with at build")
@@ -809,36 +821,27 @@ impl ScalarNet {
         let node = &mut self.nodes[node_idx];
         node.discipline.on_arrival_batch(&mut batch, now, &mut out);
         debug_assert_eq!(out.len(), batch.len(), "one decision per packet");
-        for (pkt, decision) in batch.drain(..).zip(out.drain(..)) {
+        for ((&r, pkt), decision) in refs.iter().zip(&batch).zip(out.drain(..)) {
             debug_assert!(
                 decision.eligible >= now,
                 "discipline produced an eligibility time in the past"
             );
+            *self.arena.packet_mut(r) = *pkt;
             // lit-lint: allow(no-panic-hot-path, "session_stats is built with one entry per session; sid comes from the packet's build-time id")
             self.session_stats[sidx].occupy(hopx, pkt.len_bits as u64);
-            if decision.eligible > now {
-                self.events.push(
-                    decision.eligible,
-                    Event::Eligible {
-                        pkt,
-                        key: decision.key,
-                        at: decision.eligible,
-                    },
-                );
-            } else {
-                self.enqueue_eligible(node_idx as u32, pkt, decision.key);
-            }
+            self.hold_or_enqueue(node_idx as u32, r, decision);
         }
+        self.batch_refs = refs;
         self.batch_pkts = batch;
         self.batch_out = out;
     }
 
     /// Put an eligible packet in the node's transmission queue and start
     /// the link if idle.
-    fn enqueue_eligible(&mut self, node_idx: u32, pkt: Packet, key: u128) {
+    fn enqueue_eligible(&mut self, node_idx: u32, p: PacketRef, key: u128) {
         // lit-lint: allow(no-panic-hot-path, "executor invariant: node ids come from the build-time topology")
         let node = &mut self.nodes[node_idx as usize];
-        node.queue.push(key, pkt);
+        node.queue.push(key, p);
         if node.current.is_none() {
             self.start_tx(node_idx);
         }
@@ -849,15 +852,16 @@ impl ScalarNet {
         // lit-lint: allow(no-panic-hot-path, "executor invariant: node ids come from the build-time topology")
         let node = &mut self.nodes[node_idx as usize];
         debug_assert!(node.current.is_none(), "link already busy");
-        let Some(pkt) = node.queue.pop() else {
+        let Some(p) = node.queue.pop() else {
             return;
         };
+        let pkt = self.arena.packet(p);
         let tx = node.link.tx_time(pkt.len_bits);
-        node.discipline.on_service_start(&pkt, self.now);
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.on_dispatch(self.now, node_idx, pview(&pkt));
+        node.discipline.on_service_start(pkt, self.now);
+        if let Some(probe) = self.probe.as_deref_mut() {
+            probe.on_dispatch(self.now, node_idx, pview(pkt));
         }
-        node.current = Some(pkt);
+        node.current = Some(p);
         // lit-lint: allow(no-panic-hot-path, "node_stats is built with one entry per node")
         self.node_stats[node_idx as usize].busy.set_busy(self.now);
         self.events
@@ -868,10 +872,14 @@ impl ScalarNet {
     fn tx_done(&mut self, node_idx: u32) {
         // lit-lint: allow(no-panic-hot-path, "executor invariant: node ids come from the build-time topology")
         let node = &mut self.nodes[node_idx as usize];
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: a TxDone event exists only while `current` is occupied")
-        let mut pkt = node.current.take().expect("TxDone with idle link");
+        let Some(p) = node.current.take() else {
+            debug_assert!(false, "TxDone with idle link");
+            return;
+        };
+        let slot = self.arena.packet_mut(p);
         let finish = self.now;
-        node.discipline.on_departure(&mut pkt, finish);
+        node.discipline.on_departure(slot, finish);
+        let pkt = *slot;
         let propagation = node.link.propagation;
         let lmax_ps = node.link.lmax_time().as_ps() as i128;
 
@@ -890,22 +898,19 @@ impl ScalarNet {
         if self.oracle.enabled() && !self.oracle.interleaved && lateness >= lmax_ps {
             // Non-saturation lemma: F̂ < F + L_MAX/C.
             nst.oracle_violations += 1;
-            self.oracle.violate(ViolationKind::Lateness, || {
-                format!(
-                    "node {node_idx} session {} seq {}: finish {finish} is \
-                     {lateness} ps past deadline {} (allowance {lmax_ps} ps)",
-                    pkt.session.0, pkt.seq, pkt.deadline
-                )
-            });
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.on_violation(
-                    finish,
-                    ViolationKind::Lateness.label(),
-                    pkt.session.0,
-                    pkt.seq,
-                    node_idx,
-                );
-            }
+            self.oracle.report(
+                self.probe.as_deref_mut(),
+                ViolationKind::Lateness,
+                finish,
+                (pkt.session.0, pkt.seq, node_idx),
+                || {
+                    format!(
+                        "node {node_idx} session {} seq {}: finish {finish} is \
+                         {lateness} ps past deadline {} (allowance {lmax_ps} ps)",
+                        pkt.session.0, pkt.seq, pkt.deadline
+                    )
+                },
+            );
         }
 
         // Session accounting: the packet no longer occupies this node.
@@ -925,10 +930,10 @@ impl ScalarNet {
             p.on_depart(finish, node_idx, pview(&pkt), slack, hop + 1 >= hops);
         }
         if hop + 1 < hops {
-            pkt.hop += 1;
-            self.events
-                .push(finish + propagation, Event::Arrive { pkt });
+            self.arena.packet_mut(p).hop += 1;
+            self.events.push(finish + propagation, Event::Arrive { p });
         } else {
+            self.arena.remove(p);
             // Delivered: end-to-end delay includes the last link's
             // propagation, matching β's Σ(L_MAX/Cₙ + Γₙ) over n = 1..N.
             let delivery = finish + propagation;
@@ -951,21 +956,18 @@ impl ScalarNet {
                     // arrival pattern (the firewall property).
                     if excess >= b.shift_ps {
                         st.oracle_violations += 1;
-                        self.oracle.violate(ViolationKind::DelayBound, || {
-                            format!(
-                                "session {sid} seq {}: excess {excess} ps ≥ β+α = {} ps",
-                                pkt.seq, b.shift_ps
-                            )
-                        });
-                        if let Some(p) = self.probe.as_deref_mut() {
-                            p.on_violation(
-                                finish,
-                                ViolationKind::DelayBound.label(),
-                                sid as u32,
-                                pkt.seq,
-                                u32::MAX,
-                            );
-                        }
+                        self.oracle.report(
+                            self.probe.as_deref_mut(),
+                            ViolationKind::DelayBound,
+                            finish,
+                            (sid as u32, pkt.seq, u32::MAX),
+                            || {
+                                format!(
+                                    "session {sid} seq {}: excess {excess} ps ≥ β+α = {} ps",
+                                    pkt.seq, b.shift_ps
+                                )
+                            },
+                        );
                     }
                     // Ineq. 17 family: running jitter stays below the
                     // empirical D^ref_max plus the spread constant. Both
@@ -975,22 +977,19 @@ impl ScalarNet {
                     let dref_ps = st.reference.max().map_or(0, |d| d.as_ps() as i128);
                     if jitter_ps >= dref_ps + b.jitter_spread_ps {
                         st.oracle_violations += 1;
-                        self.oracle.violate(ViolationKind::JitterBound, || {
-                            format!(
-                                "session {sid} seq {}: jitter {jitter_ps} ps ≥ \
-                                 D^ref_max {dref_ps} + spread {} ps",
-                                pkt.seq, b.jitter_spread_ps
-                            )
-                        });
-                        if let Some(p) = self.probe.as_deref_mut() {
-                            p.on_violation(
-                                finish,
-                                ViolationKind::JitterBound.label(),
-                                sid as u32,
-                                pkt.seq,
-                                u32::MAX,
-                            );
-                        }
+                        self.oracle.report(
+                            self.probe.as_deref_mut(),
+                            ViolationKind::JitterBound,
+                            finish,
+                            (sid as u32, pkt.seq, u32::MAX),
+                            || {
+                                format!(
+                                    "session {sid} seq {}: jitter {jitter_ps} ps ≥ \
+                                     D^ref_max {dref_ps} + spread {} ps",
+                                    pkt.seq, b.jitter_spread_ps
+                                )
+                            },
+                        );
                     }
                 }
             }
@@ -1081,23 +1080,20 @@ impl ScalarNet {
             {
                 failed += 1;
                 st.oracle_violations += 1;
-                self.oracle.violate(ViolationKind::CcdfBound, || {
-                    format!(
-                        "session {sid}: {lhs} packets with D > {d_ps} ps, but only \
-                         {rhs} with D^ref > {} ps (shift {} ps)",
-                        d_ps - b.shift_ps,
-                        b.shift_ps
-                    )
-                });
-                if let Some(p) = self.probe.as_deref_mut() {
-                    p.on_violation(
-                        self.now,
-                        ViolationKind::CcdfBound.label(),
-                        sid as u32,
-                        0,
-                        u32::MAX,
-                    );
-                }
+                self.oracle.report(
+                    self.probe.as_deref_mut(),
+                    ViolationKind::CcdfBound,
+                    self.now,
+                    (sid as u32, 0, u32::MAX),
+                    || {
+                        format!(
+                            "session {sid}: {lhs} packets with D > {d_ps} ps, but only \
+                             {rhs} with D^ref > {} ps (shift {} ps)",
+                            d_ps - b.shift_ps,
+                            b.shift_ps
+                        )
+                    },
+                );
             }
         }
         // Workload conservation over [0, now], per node: busy time must
@@ -1119,23 +1115,20 @@ impl ScalarNet {
             if busy_ps < service_ps - count || busy_ps > service_ps + count + lmax_ps {
                 failed += 1;
                 nst.oracle_violations += 1;
-                self.oracle.violate(ViolationKind::WorkConservation, || {
-                    format!(
-                        "node {n}: busy {busy_ps} ps over [0, {now}] vs {service_ps} ps \
-                         of transmitted service ({} packets, allowance ±{count} ps \
-                         + {lmax_ps} ps in flight)",
-                        nst.transmitted
-                    )
-                });
-                if let Some(p) = self.probe.as_deref_mut() {
-                    p.on_violation(
-                        now,
-                        ViolationKind::WorkConservation.label(),
-                        u32::MAX,
-                        0,
-                        n as u32,
-                    );
-                }
+                self.oracle.report(
+                    self.probe.as_deref_mut(),
+                    ViolationKind::WorkConservation,
+                    now,
+                    (u32::MAX, 0, n as u32),
+                    || {
+                        format!(
+                            "node {n}: busy {busy_ps} ps over [0, {now}] vs {service_ps} ps \
+                             of transmitted service ({} packets, allowance ±{count} ps \
+                             + {lmax_ps} ps in flight)",
+                            nst.transmitted
+                        )
+                    },
+                );
             }
         }
         failed
@@ -1325,5 +1318,54 @@ impl Network {
             Engine::Scalar(_) => 1,
             Engine::Sharded(n) => n.shard_count(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lit_traffic::TraceSource;
+
+    /// FIFO with a fixed 1 ms regulator hold, so packets take the
+    /// parked-`Eligible` path at every hop.
+    struct HeldFifo;
+
+    impl Discipline for HeldFifo {
+        fn name(&self) -> &'static str {
+            "held-fifo"
+        }
+        fn register_session(&mut self, _: &SessionSpec, _: &DelayAssignment) {}
+        fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
+            let eligible = now + Duration::from_ms(1);
+            pkt.deadline = eligible;
+            ScheduleDecision::at(eligible, eligible)
+        }
+        fn on_departure(&mut self, _: &mut Packet, _: Time) {}
+    }
+
+    #[test]
+    fn future_event_entries_fit_in_32_bytes() {
+        assert!(std::mem::size_of::<Event>() <= 16);
+        assert!(std::mem::size_of::<lit_sim::KeyedEntry<Time, Event>>() <= 32);
+    }
+
+    #[test]
+    fn scalar_arena_drains_and_stays_at_peak_in_flight() {
+        // Ten bursts of four same-instant packets, 100 ms apart, over
+        // three T1 hops: a burst clears the path in ~6 ms, so at most four
+        // packets are ever in flight at once.
+        let pairs = (0..10u64).flat_map(|b| (0..4).map(move |_| (Time::from_ms(100 * b), 424)));
+        let mut b = NetworkBuilder::new();
+        let nodes = b.tandem(3, LinkParams::paper_t1());
+        let sid = b.add_session(
+            SessionSpec::atm(SessionId(0), 100_000),
+            &nodes,
+            Box::new(TraceSource::from_pairs(pairs)),
+        );
+        let mut net = b.build_scalar(&|_: &LinkParams| Box::new(HeldFifo) as Box<dyn Discipline>);
+        net.run_until(Time::from_secs(2));
+        assert_eq!(net.session_stats(sid).delivered, 40);
+        assert_eq!(net.arena.live(), 0, "every delivered packet freed its slot");
+        assert_eq!(net.arena.capacity(), 4, "capacity is the peak in flight");
     }
 }

@@ -26,6 +26,7 @@
 //! CLI can report totals after a sweep).
 
 use lit_analysis::DurationHistogram;
+use lit_obs::Probe;
 use lit_sim::Time;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -294,6 +295,22 @@ impl OracleRt {
         self.mode != OracleMode::Off
     }
 
+    /// Record one violation and show it to the probe, if one is installed,
+    /// as `(session, seq, node)`.
+    pub(crate) fn report(
+        &mut self,
+        probe: Option<&mut (dyn Probe + 'static)>,
+        kind: ViolationKind,
+        at: Time,
+        (session, seq, node): (u32, u64, u32),
+        detail: impl FnOnce() -> String,
+    ) {
+        self.violate(kind, detail);
+        if let Some(p) = probe {
+            p.on_violation(at, kind.label(), session, seq, node);
+        }
+    }
+
     /// Record one violation; panics in `Panic` mode. `detail` is only
     /// rendered when a message is actually needed.
     pub(crate) fn violate(&mut self, kind: ViolationKind, detail: impl FnOnce() -> String) {
@@ -314,15 +331,15 @@ impl OracleRt {
 /// violation is a true counter-example, never a rounding artifact.
 ///
 /// Returns the first offending threshold as `(d_ps, lhs, rhs)`.
-pub(crate) fn ccdf_shift_violation(
+pub fn ccdf_shift_violation(
     e2e: &DurationHistogram,
     reference: &DurationHistogram,
     shift_ps: i128,
 ) -> Option<(i128, u64, u64)> {
     let w = e2e.bin_width().as_ps() as i128;
     debug_assert_eq!(e2e.bin_width(), reference.bin_width());
-    let eb = e2e.bin_counts();
-    let rb = reference.bin_counts();
+    let eb: Vec<u64> = e2e.bin_counts().collect();
+    let rb: Vec<u64> = reference.bin_counts().collect();
     // suffix[k] = packets delivered in bins k.. (+ overflow).
     let mut suffix = vec![e2e.overflow_count(); eb.len() + 1];
     for k in (0..eb.len()).rev() {

@@ -382,8 +382,7 @@ impl Shard {
     fn arrive(&mut self, p: PacketRef, group: &mut Vec<Ev>) {
         let now = self.now;
         let (sid, hop, len_bits, seq) = {
-            // lit-lint: allow(no-panic-hot-path, "executor invariant: Arrive events carry references minted by this shard's arena")
-            let pkt = self.arena.get_mut(p).expect("Arrive with stale packet ref");
+            let pkt = self.arena.packet_mut(p);
             pkt.arrived = now;
             (pkt.session.index(), pkt.hop as usize, pkt.len_bits, pkt.seq)
         };
@@ -400,8 +399,7 @@ impl Shard {
             let (nodes, arena) = (&mut self.nodes, &mut self.arena);
             // lit-lint: allow(no-panic-hot-path, "executor invariant: a packet only arrives at nodes its owner shard holds")
             let node = nodes[node_idx].as_mut().expect("arrival at unowned node");
-            // lit-lint: allow(no-panic-hot-path, "reference checked live at the top of this function")
-            let pkt = arena.get_mut(p).expect("packet vanished mid-arrival");
+            let pkt = arena.packet_mut(p);
             node.discipline.on_arrival(pkt, now)
         };
         debug_assert!(
@@ -492,8 +490,7 @@ impl Shard {
     fn arrive_batched(&mut self, first: PacketRef, mut i: usize, group: &mut Vec<Ev>) -> usize {
         let now = self.now;
         let (sid, hop) = {
-            // lit-lint: allow(no-panic-hot-path, "executor invariant: Arrive events carry references minted by this shard's arena")
-            let pkt = self.arena.get(first).expect("Arrive with stale packet ref");
+            let pkt = self.arena.packet(first);
             (pkt.session, pkt.hop)
         };
         let mut refs = std::mem::take(&mut self.batch_refs);
@@ -517,8 +514,7 @@ impl Shard {
         let mut batch = std::mem::take(&mut self.batch_pkts);
         batch.clear();
         for &r in &refs {
-            // lit-lint: allow(no-panic-hot-path, "references collected two loops up; nothing freed them since")
-            let pkt = self.arena.get_mut(r).expect("batched packet vanished");
+            let pkt = self.arena.packet_mut(r);
             pkt.arrived = now;
             batch.push(*pkt);
         }
@@ -542,8 +538,7 @@ impl Shard {
                 decision.eligible >= now,
                 "discipline produced an eligibility time in the past"
             );
-            // lit-lint: allow(no-panic-hot-path, "reference checked when the batch was copied out")
-            *self.arena.get_mut(r).expect("batched packet vanished") = pkt;
+            *self.arena.packet_mut(r) = pkt;
             // lit-lint: allow(no-panic-hot-path, "stats rows exist for every session with an owned hop")
             self.stats[sidx]
                 .as_mut()
@@ -573,8 +568,7 @@ impl Shard {
     fn eligible(&mut self, p: PacketRef, key: u128, at: Time, group: &mut Vec<Ev>) {
         let now = self.now;
         let (sid, hop) = {
-            // lit-lint: allow(no-panic-hot-path, "executor invariant: Eligible events carry references minted by this shard's arena")
-            let pkt = self.arena.get(p).expect("Eligible with stale packet ref");
+            let pkt = self.arena.packet(p);
             (pkt.session.index(), pkt.hop as usize)
         };
         // lit-lint: allow(no-panic-hot-path, "executor invariant: packets carry the session id and hop index they were routed with at build")
@@ -682,8 +676,7 @@ impl Shard {
             let Some(p) = node.queue.pop() else {
                 return;
             };
-            // lit-lint: allow(no-panic-hot-path, "queued references stay live until tx_done takes them")
-            let pkt = arena.get(p).expect("queued packet vanished");
+            let pkt = arena.packet(p);
             let tx = node.link.tx_time(pkt.len_bits);
             node.discipline.on_service_start(pkt, now);
             node.current = Some(p);
@@ -708,8 +701,7 @@ impl Shard {
                 .expect("TxDone at unowned node");
             // lit-lint: allow(no-panic-hot-path, "executor invariant: a TxDone event exists only while `current` is occupied")
             let p = node.current.take().expect("TxDone with idle link");
-            // lit-lint: allow(no-panic-hot-path, "the current reference stays live for the whole transmission")
-            let pkt = arena.get_mut(p).expect("transmitting packet vanished");
+            let pkt = arena.packet_mut(p);
             node.discipline.on_departure(pkt, finish);
             (
                 p,
@@ -718,8 +710,7 @@ impl Shard {
             )
         };
         let (sid, hop, len_bits, seq, deadline) = {
-            // lit-lint: allow(no-panic-hot-path, "reference taken live three lines up")
-            let pkt = self.arena.get(p).expect("transmitting packet vanished");
+            let pkt = self.arena.packet(p);
             (
                 pkt.session.index(),
                 pkt.hop as usize,
@@ -775,8 +766,7 @@ impl Shard {
                     .hop += 1;
                 self.emit(finish + propagation, Ev::Arrive { p }, group);
             } else {
-                // lit-lint: allow(no-panic-hot-path, "reference taken live at the top of this function")
-                let mut pkt = self.arena.take(p).expect("forwarding packet vanished");
+                let mut pkt = self.arena.remove(p);
                 pkt.hop += 1;
                 self.send_handoff(
                     dest,
@@ -789,8 +779,7 @@ impl Shard {
         } else {
             // Delivered: end-to-end delay includes the last link's
             // propagation, matching β's Σ(L_MAX/Cₙ + Γₙ) over n = 1..N.
-            // lit-lint: allow(no-panic-hot-path, "reference taken live at the top of this function")
-            let pkt = self.arena.take(p).expect("delivered packet vanished");
+            let pkt = self.arena.remove(p);
             let delivery = finish + propagation;
             // lit-lint: allow(no-panic-hot-path, "stats rows exist for every session with an owned hop")
             let st = self.stats[sid]

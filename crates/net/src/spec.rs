@@ -121,9 +121,9 @@ impl DelayAssignment {
 /// d_ps(len) = (len · num_ps + den/2) / den + base_ps
 /// ```
 ///
-/// computed exactly in `u128`. Struct-of-arrays schedulers store one
-/// `(num_ps, den, base_ps)` triple per session and evaluate eq. 8–11 over
-/// flat arrays with no per-packet enum dispatch; the half-denominator
+/// computed exactly in `u128`. Schedulers store one `(num_ps, den,
+/// base_ps)` triple per session and evaluate eq. 8–11 with no per-packet
+/// enum dispatch; the half-denominator
 /// rounding matches `Duration::from_bits_at_rate` and
 /// [`DelayAssignment::d_for`] bit for bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -15,16 +15,21 @@ use lit_analysis::{BatchMeans, BusyFraction, DurationHistogram};
 use lit_sim::{Duration, Time};
 
 /// Sizing knobs for the statistics collectors.
+///
+/// Bin counts are paged (see [`lit_analysis::Histogram`]): a histogram
+/// allocates a 512-byte page per 64 bins its samples actually touch, so
+/// the bin counts below bound resolution and range, not memory. A fresh
+/// session holds no bin pages; a typical one touches a few per histogram.
 #[derive(Clone, Copy, Debug)]
 pub struct StatsConfig {
     /// Bin width of the end-to-end and reference delay histograms.
     pub delay_bin: Duration,
     /// Number of delay bins (delays beyond land in overflow but still
-    /// count toward max/jitter exactly).
+    /// count toward max/jitter exactly). Costs nothing until touched.
     pub delay_bins: usize,
     /// Bin width, in bits, of the buffer-occupancy histograms.
     pub buffer_bin_bits: u64,
-    /// Number of buffer bins.
+    /// Number of buffer bins per hop. Costs nothing until touched.
     pub buffer_bins: usize,
     /// Keep the **last** this-many per-packet delivery records per
     /// session (0 = off, the default). Each record is ~48 bytes; the log
@@ -39,23 +44,6 @@ impl Default for StatsConfig {
             delay_bins: 4_000, // covers 1 s of delay
             buffer_bin_bits: 424,
             buffer_bins: 256,
-            delivery_log_cap: 0,
-        }
-    }
-}
-
-impl StatsConfig {
-    /// Minimal-footprint sizing for scale runs with very many sessions
-    /// (e.g. the 1k→1M scaling curve): coarse delay bins covering the
-    /// same 1 s span, a handful of buffer bins, no delivery log. Maxima,
-    /// jitter, and counts stay exact — only distribution resolution is
-    /// traded — and per-session memory drops from ~tens of kB to ~1 kB.
-    pub fn compact() -> Self {
-        StatsConfig {
-            delay_bin: Duration::from_ms(20),
-            delay_bins: 50, // covers the same 1 s of delay, coarsely
-            buffer_bin_bits: 424 * 16,
-            buffer_bins: 8,
             delivery_log_cap: 0,
         }
     }
@@ -87,118 +75,7 @@ impl DeliveryRecord {
 }
 
 /// Histogram over buffer occupancy samples (bits), with exact maximum.
-#[derive(Clone, Debug)]
-pub struct OccupancyHistogram {
-    bin_bits: u64,
-    bins: Vec<u64>,
-    overflow: u64,
-    count: u64,
-    max_bits: u64,
-}
-
-impl OccupancyHistogram {
-    /// `nbins` bins of `bin_bits` bits each.
-    pub fn new(bin_bits: u64, nbins: usize) -> Self {
-        assert!(bin_bits > 0 && nbins > 0, "occupancy histogram: empty");
-        OccupancyHistogram {
-            bin_bits,
-            bins: vec![0; nbins],
-            overflow: 0,
-            count: 0,
-            max_bits: 0,
-        }
-    }
-
-    /// Record one occupancy sample.
-    pub fn record(&mut self, bits: u64) {
-        self.count += 1;
-        self.max_bits = self.max_bits.max(bits);
-        let idx = (bits / self.bin_bits) as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact largest sample in bits.
-    pub fn max_bits(&self) -> u64 {
-        self.max_bits
-    }
-
-    /// `(bin_lower_edge_bits, fraction)` for all non-empty bins.
-    pub fn pdf(&self) -> Vec<(u64, f64)> {
-        let n = self.count.max(1) as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u64 * self.bin_bits, c as f64 / n))
-            .collect()
-    }
-
-    /// Merge another histogram with identical bin layout into this one
-    /// (used to pool replica runs into one distribution). Counts
-    /// saturate at `u64::MAX` rather than wrapping, so pathological
-    /// pooling degrades the distribution instead of corrupting it.
-    ///
-    /// # Panics
-    /// Panics on mismatched bin width or bin count.
-    pub fn merge(&mut self, other: &OccupancyHistogram) {
-        assert_eq!(self.bin_bits, other.bin_bits, "merge: bin width mismatch");
-        assert_eq!(
-            self.bins.len(),
-            other.bins.len(),
-            "merge: bin count mismatch"
-        );
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a = a.saturating_add(*b);
-        }
-        self.overflow = self.overflow.saturating_add(other.overflow);
-        self.count = self.count.saturating_add(other.count);
-        self.max_bits = self.max_bits.max(other.max_bits);
-    }
-
-    /// Upper estimate of `P(occupancy > bits)`: samples in the bin
-    /// containing `bits` count as exceeding it (conservative in the
-    /// direction needed when comparing against analytic upper bounds).
-    pub fn ccdf_at(&self, bits: u64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let idx = (bits / self.bin_bits) as usize;
-        let below: u64 = self.bins.iter().take(idx.min(self.bins.len())).sum();
-        (self.count - below) as f64 / self.count as f64
-    }
-
-    /// Empirical `P(occupancy > bits)` at each bin upper edge.
-    pub fn ccdf(&self) -> Vec<(u64, f64)> {
-        if self.count == 0 {
-            return Vec::new();
-        }
-        let n = self.count as f64;
-        let mut remaining = self.count;
-        let mut out = Vec::new();
-        for (i, &c) in self.bins.iter().enumerate() {
-            remaining -= c;
-            if c > 0 || i == 0 {
-                out.push(((i as u64 + 1) * self.bin_bits, remaining as f64 / n));
-            }
-            if remaining == 0 {
-                break;
-            }
-        }
-        if self.overflow > 0 {
-            out.push((self.max_bits, 0.0));
-        }
-        out
-    }
-}
+pub type OccupancyHistogram = lit_analysis::Histogram<u64>;
 
 /// Everything measured about one session.
 #[derive(Clone, Debug)]
@@ -507,21 +384,18 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_merge_saturates_instead_of_wrapping() {
-        let mut a = OccupancyHistogram::new(100, 2);
-        a.bins[0] = u64::MAX - 1;
-        a.count = u64::MAX - 1;
-        a.overflow = u64::MAX;
-        let mut b = OccupancyHistogram::new(100, 2);
-        b.record(10);
-        b.record(10);
-        b.record(500); // overflow
-        a.merge(&b);
-        assert_eq!(a.bins[0], u64::MAX);
-        assert_eq!(a.count, u64::MAX);
-        assert_eq!(a.overflow, u64::MAX);
-        // Still usable afterwards: probabilities stay in [0, 1].
-        let p = a.ccdf_at(0);
-        assert!((0.0..=1.0).contains(&p));
+    fn fresh_session_stats_hold_no_bin_pages_until_first_sample() {
+        let mut s = SessionStats::new(&StatsConfig::default(), 3);
+        let pages = |s: &SessionStats| {
+            s.e2e.pages_allocated()
+                + s.reference.pages_allocated()
+                + s.buffer.iter().map(|h| h.pages_allocated()).sum::<usize>()
+        };
+        assert_eq!(pages(&s), 0);
+        s.occupy(1, 424);
+        s.e2e.record(Duration::from_ms(40));
+        // One page each for the sampled hop and the delay histogram.
+        assert_eq!(pages(&s), 2);
+        assert_eq!(s.buffer[1].pdf(), vec![(424, 1.0)]);
     }
 }

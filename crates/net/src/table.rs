@@ -13,9 +13,8 @@
 //!   concurrent sessions.
 //! * [`SessionTable`] — a small slab keyed by `SessionId` for disciplines
 //!   whose per-session state is a single struct (the baselines). The
-//!   Leave-in-Time scheduler goes further and splits its state into
-//!   struct-of-arrays columns (see `lit-core`), but reuses the same
-//!   occupancy discipline.
+//!   Leave-in-Time scheduler keeps its own `Option` rows (see
+//!   `lit-core`) with the same occupancy discipline.
 
 use crate::packet::SessionId;
 

@@ -351,3 +351,266 @@ fn linear_assignment_bounds_hold() {
         assert!(st.max_excess().unwrap() < pb.shift_ps());
     });
 }
+
+/// The dense `Vec<u64>` histogram logic the paged bin store replaced,
+/// kept as the reference model. Values and edges are plain `u64` units
+/// (picoseconds for delays, bits for occupancy).
+#[derive(Clone)]
+struct DenseHist {
+    w: u64,
+    bins: Vec<u64>,
+    overflow: u64,
+    count: u64,
+    sum: u128,
+    min: u64,
+    max: u64,
+}
+
+impl DenseHist {
+    fn new(w: u64, nbins: usize) -> Self {
+        DenseHist {
+            w,
+            bins: vec![0; nbins],
+            overflow: 0,
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
+    fn record(&mut self, x: u64) {
+        self.count += 1;
+        self.sum += x as u128;
+        self.min = self.min.min(x);
+        self.max = self.max.max(x);
+        let idx = (x / self.w) as usize;
+        if idx < self.bins.len() {
+            self.bins[idx] += 1;
+        } else {
+            self.overflow += 1;
+        }
+    }
+
+    fn merge(&mut self, o: &DenseHist) {
+        for (a, b) in self.bins.iter_mut().zip(&o.bins) {
+            *a += b;
+        }
+        self.overflow += o.overflow;
+        self.count += o.count;
+        self.sum += o.sum;
+        self.min = self.min.min(o.min);
+        self.max = self.max.max(o.max);
+    }
+
+    fn nonempty(&self) -> Vec<(u64, u64)> {
+        self.bins
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(i, &c)| (i as u64 * self.w, c))
+            .collect()
+    }
+
+    fn pdf(&self) -> Vec<(u64, f64)> {
+        let n = self.count.max(1) as f64;
+        self.nonempty()
+            .into_iter()
+            .map(|(e, c)| (e, c as f64 / n))
+            .collect()
+    }
+
+    fn ccdf(&self) -> Vec<(u64, f64)> {
+        if self.count == 0 {
+            return Vec::new();
+        }
+        let n = self.count as f64;
+        let mut remaining = self.count;
+        let mut out = Vec::new();
+        for (i, &c) in self.bins.iter().enumerate() {
+            remaining -= c;
+            if c > 0 || i == 0 {
+                out.push(((i as u64 + 1) * self.w, remaining as f64 / n));
+            }
+            if remaining == 0 {
+                break;
+            }
+        }
+        if self.overflow > 0 {
+            out.push((self.max, 0.0));
+        }
+        out
+    }
+
+    fn ccdf_at(&self, x: u64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let idx = (x / self.w) as usize;
+        let below: u64 = self.bins.iter().take(idx.min(self.bins.len())).sum();
+        (self.count - below) as f64 / self.count as f64
+    }
+
+    fn quantile(&self, q: f64) -> Option<u64> {
+        if self.count == 0 {
+            return None;
+        }
+        let target = (q * self.count as f64).ceil() as u64;
+        let mut cum = 0;
+        for (i, &c) in self.bins.iter().enumerate() {
+            cum += c;
+            if cum >= target {
+                return Some(self.w * (i as u64 + 1));
+            }
+        }
+        Some(self.max)
+    }
+}
+
+/// The ineq.-16 drain check as it ran over dense bin slices.
+fn dense_ccdf_shift_violation(
+    e2e: &DenseHist,
+    reference: &DenseHist,
+    shift_ps: i128,
+) -> Option<(i128, u64, u64)> {
+    let w = e2e.w as i128;
+    let (eb, rb) = (&e2e.bins, &reference.bins);
+    let mut suffix = vec![e2e.overflow; eb.len() + 1];
+    for k in (0..eb.len()).rev() {
+        suffix[k] = suffix[k + 1] + eb[k];
+    }
+    let mut prefix = vec![0u64; rb.len() + 1];
+    for m in 0..rb.len() {
+        prefix[m + 1] = prefix[m] + rb[m];
+    }
+    for k in 0..eb.len() {
+        let lhs = suffix[k + 1];
+        if lhs == 0 {
+            break;
+        }
+        let t = k as i128 * w - shift_ps;
+        let rhs = if t < 0 {
+            reference.count
+        } else {
+            reference.count - prefix[((t / w) as usize).min(rb.len())]
+        };
+        if lhs > rhs {
+            return Some((k as i128 * w, lhs, rhs));
+        }
+    }
+    None
+}
+
+/// Samples clustered around a few random bins (some past the last bin),
+/// so histograms touch scattered pages and two histograms' page sets are
+/// sometimes disjoint, sometimes overlapping. `shared` seeds one cluster
+/// both sides of a merge use.
+fn gen_clustered(g: &mut Gen, w: u64, nbins: usize, shared: u64) -> Vec<u64> {
+    let clusters: Vec<u64> = (0..g.size(1, 4))
+        .map(|_| {
+            if g.bool() {
+                shared
+            } else {
+                g.below(nbins as u64 + 80)
+            }
+        })
+        .collect();
+    (0..g.size(0, 200))
+        .map(|_| {
+            let bin = g
+                .pick(&clusters)
+                .saturating_add(g.below(5))
+                .saturating_sub(2);
+            bin * w + g.below(w)
+        })
+        .collect()
+}
+
+/// Paged delay and occupancy histograms answer every query exactly as
+/// the dense reference does, before and after merges.
+#[test]
+fn paged_histograms_match_dense_reference() {
+    use leave_in_time::analysis::DurationHistogram;
+    use leave_in_time::net::oracle::ccdf_shift_violation;
+    use leave_in_time::net::OccupancyHistogram;
+
+    fn same_duration(h: &DurationHistogram, d: &DenseHist, probes: &[u64]) {
+        let ps = |x: Duration| x.as_ps();
+        assert_eq!(h.count(), d.count);
+        assert_eq!(h.overflow_count(), d.overflow);
+        assert_eq!(h.bin_counts().collect::<Vec<_>>(), d.bins);
+        assert_eq!(h.max().map(ps), (d.count > 0).then_some(d.max));
+        assert_eq!(h.min().map(ps), (d.count > 0).then_some(d.min));
+        let mean = (d.count > 0).then(|| (d.sum / d.count as u128) as u64);
+        assert_eq!(h.mean().map(ps), mean);
+        let nonempty: Vec<_> = h.nonempty_bins().map(|(e, c)| (ps(e), c)).collect();
+        assert_eq!(nonempty, d.nonempty());
+        let pdf: Vec<_> = h.pdf().into_iter().map(|(e, f)| (ps(e), f)).collect();
+        assert_eq!(pdf, d.pdf());
+        let ccdf: Vec<_> = h.ccdf().into_iter().map(|(e, f)| (ps(e), f)).collect();
+        assert_eq!(ccdf, d.ccdf());
+        for &x in probes {
+            assert_eq!(h.ccdf_at(Duration::from_ps(x)), d.ccdf_at(x));
+        }
+        for q in [1e-9, 0.25, 0.5, 0.9, 0.999, 1.0] {
+            assert_eq!(h.quantile(q).map(ps), d.quantile(q));
+        }
+    }
+
+    fn same_occupancy(h: &OccupancyHistogram, d: &DenseHist, probes: &[u64]) {
+        assert_eq!(h.count(), d.count);
+        assert_eq!(h.max_bits(), d.max);
+        assert_eq!(h.pdf(), d.pdf());
+        assert_eq!(h.ccdf(), d.ccdf());
+        for &x in probes {
+            assert_eq!(h.ccdf_at(x), d.ccdf_at(x));
+        }
+    }
+
+    check("paged_histograms_match_dense_reference", |g| {
+        let w = g.range(1, 2_000);
+        let nbins = g.size(1, 700);
+        let shared = g.below(nbins as u64 + 10);
+        let probes: Vec<u64> = (0..8).map(|_| g.below((nbins as u64 + 90) * w)).collect();
+        let sides: Vec<Vec<u64>> = (0..2).map(|_| gen_clustered(g, w, nbins, shared)).collect();
+
+        let mut dur = Vec::new();
+        let mut occ = Vec::new();
+        let mut dense = Vec::new();
+        for samples in &sides {
+            let mut h = DurationHistogram::new(Duration::from_ps(w), nbins);
+            let mut o = OccupancyHistogram::new(w, nbins);
+            let mut d = DenseHist::new(w, nbins);
+            for &x in samples {
+                h.record(Duration::from_ps(x));
+                o.record(x);
+                d.record(x);
+            }
+            same_duration(&h, &d, &probes);
+            same_occupancy(&o, &d, &probes);
+            dur.push(h);
+            occ.push(o);
+            dense.push(d);
+        }
+
+        for _ in 0..4 {
+            let shift = g.below((nbins as u64 + 90) * w) as i128 - (20 * w) as i128;
+            assert_eq!(
+                ccdf_shift_violation(&dur[0], &dur[1], shift),
+                dense_ccdf_shift_violation(&dense[0], &dense[1], shift)
+            );
+        }
+
+        let (mut h, mut o, mut d) = (dur[0].clone(), occ[0].clone(), dense[0].clone());
+        h.merge(&dur[1]);
+        o.merge(&occ[1]);
+        d.merge(&dense[1]);
+        same_duration(&h, &d, &probes);
+        same_occupancy(&o, &d, &probes);
+        let shift = g.below(nbins as u64 * w) as i128;
+        assert_eq!(
+            ccdf_shift_violation(&h, &dur[1], shift),
+            dense_ccdf_shift_violation(&d, &dense[1], shift)
+        );
+    });
+}
