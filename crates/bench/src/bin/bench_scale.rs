@@ -1,6 +1,5 @@
 //! `bench_scale` — sessions-vs-throughput curve for the million-session
-//! hot path, plus the shards-vs-throughput curve for the per-core
-//! sharded executor.
+//! hot path.
 //!
 //! **Scale sweep.** For each session count on a 1k → 1M sweep, registers
 //! that many sessions with one Leave-in-Time scheduler and pumps a fixed
@@ -10,15 +9,6 @@
 //! That is the executor's per-event skeleton with the O(log n) heap
 //! swapped for the O(1) wheel, measured under the cache pressure of the
 //! full session table — exactly what grows with scale.
-//!
-//! **Shard sweep.** Builds the 32-node fat tandem as a real `Network`
-//! at shard counts 1/2/4/8 (1 = the scalar engine, ≥2 = the
-//! lookahead-windowed sharded engine, 4-node chains per shard at 8) and
-//! measures aggregate events/sec over a fixed horizon. The artifact
-//! records `cores` (`available_parallelism`) next to the curve because
-//! the speedup column is only meaningful relative to it: on a 1-core
-//! runner the sharded rows measure pure engine overhead, not
-//! parallelism.
 //!
 //! **Statistics.** Each point is min-of-k across `--reps` paired
 //! (calibration, sweep) samples — the minimum is the standard noise
@@ -31,42 +21,27 @@
 //! compares.
 //!
 //! Usage: `bench_scale [--test|--quick] [--reps N] [--events N]
-//! [--max-sessions N] [--out DIR] [--check FILE] [--tol F]
-//! [--shard-guard]`
+//! [--max-sessions N] [--out DIR] [--check FILE] [--tol F]`
 //!
-//! * default: run both sweeps and write `BENCH_scale.json` into `--out`
+//! * default: run the sweep and write `BENCH_scale.json` into `--out`
 //!   (the workspace `results/` directory);
 //! * `--check FILE`: additionally compare each measured scale's
 //!   `rel_calib` against the committed curve and fail on a regression
 //!   beyond `--tol` (default 15%);
-//! * `--max-sessions N`: truncate the scale sweep (`0` skips it — CI's
-//!   shard-guard-only smoke run);
-//! * `--shard-guard`: fail unless the highest shard count clears a
-//!   core-count-aware speedup floor over one shard —
-//!   `min(2.0, 0.75·min(8, cores))` — skipped with a notice when the
-//!   runner has fewer than 2 cores.
+//! * `--max-sessions N`: truncate the scale sweep.
 
 #![forbid(unsafe_code)]
 
 use lit_bench::{calibrate, register_sessions, CALIBRATE_ITERS};
 use lit_core::LitDiscipline;
-use lit_net::{
-    Discipline, LinkParams, NetworkBuilder, Packet, SessionId, SessionSpec, StatsConfig,
-};
+use lit_net::{Discipline, LinkParams, Packet, SessionId};
 use lit_sim::{Duration, EventBackend, EventQueue, Time};
-use lit_traffic::DeterministicSource;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
 /// The full sweep: decade steps from 1k to 1M live sessions.
 const SCALES: [u32; 4] = [1_000, 10_000, 100_000, 1_000_000];
-
-/// Shard counts for the network sweep; 1 is the scalar engine.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Nodes in the sharded fat tandem: 8 shards own 4-node chains.
-const SHARD_NODES: usize = 32;
 
 /// One measured point of the sessions curve.
 struct Point {
@@ -76,16 +51,6 @@ struct Point {
     ci95_ns: f64,
     rel_calib: f64,
     samples: usize,
-}
-
-/// One measured point of the shards curve.
-struct ShardPoint {
-    shards: usize,
-    events: u64,
-    ns_per_event: f64,
-    ci95_ns: f64,
-    events_per_sec: f64,
-    speedup: f64,
 }
 
 /// Pump `events` pop → eq. 8–11 → push cycles through a wheel-backed
@@ -114,35 +79,6 @@ fn run_scale(n: u32, events: u64) -> u128 {
     let ns = t.elapsed().as_nanos();
     black_box(sum);
     ns
-}
-
-/// Build the 32-node fat tandem at `shards` shards and run it to
-/// `horizon`; returns (wall nanoseconds of `run_until`, events
-/// processed). Topology mirrors `tests/shard_determinism.rs`: sources
-/// staggered so results are shard-count-invariant (pinned there, timed
-/// here).
-fn run_sharded(shards: usize, horizon: Time) -> (u128, u64) {
-    let mut b = NetworkBuilder::new()
-        .seed(42)
-        .shards(shards)
-        .stats(StatsConfig::default());
-    let nodes = b.tandem(SHARD_NODES, LinkParams::paper_t1());
-    for i in 0..12u64 {
-        b.add_session(
-            SessionSpec::atm(SessionId(0), 32_000).with_jitter_control(),
-            &nodes,
-            Box::new(
-                DeterministicSource::new(Duration::from_us(13_250), 424)
-                    // lit-lint: allow(raw-time-arithmetic, "bench setup: stagger offsets bounded by 12·37 ns")
-                    .with_offset(Duration::from_ns(1 + i * 37)),
-            ),
-        );
-    }
-    let mut net = b.build(&|l| Box::new(LitDiscipline::new(*l)) as _);
-    let t = Instant::now();
-    net.run_until(horizon);
-    let ns = t.elapsed().as_nanos();
-    (ns, net.event_count())
 }
 
 /// Minimum of a sample; NaN when empty.
@@ -181,7 +117,7 @@ fn sample_scale(n: u32, events: u64, reps: u32) -> (Vec<f64>, Vec<f64>) {
 fn usage() -> ! {
     eprintln!(
         "usage: bench_scale [--test|--quick] [--reps N] [--events N] \
-         [--max-sessions N] [--out DIR] [--check FILE] [--tol F] [--shard-guard]"
+         [--max-sessions N] [--out DIR] [--check FILE] [--tol F]"
     );
     std::process::exit(2);
 }
@@ -194,7 +130,6 @@ fn main() {
     let mut out = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"));
     let mut check: Option<PathBuf> = None;
     let mut tol = 0.15f64;
-    let mut shard_guard = false;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -225,7 +160,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--shard-guard" => shard_guard = true,
             "--bench" => {} // appended by `cargo bench`
             _ => usage(),
         }
@@ -233,12 +167,10 @@ fn main() {
     if let Some(dir) = std::env::var_os("BENCH_OUT") {
         out = PathBuf::from(dir);
     }
-    let mut shard_horizon = Time::from_ms(2_000);
     if quick {
         events = events.min(200_000);
         max_sessions = max_sessions.min(10_000);
         reps = reps.min(2);
-        shard_horizon = Time::from_ms(300);
     }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -308,35 +240,6 @@ fn main() {
         });
     }
 
-    let mut shard_points: Vec<ShardPoint> = Vec::new();
-    for &s in &SHARD_COUNTS {
-        let mut ns_samples = Vec::new();
-        let mut ev = 0u64;
-        for _ in 0..reps.max(1) {
-            let (wall, n_ev) = run_sharded(s, shard_horizon);
-            ev = n_ev;
-            ns_samples.push(wall as f64 / n_ev.max(1) as f64);
-        }
-        let ns_per_event = min_of(&ns_samples);
-        let ci95_ns = ci95_half_width(&ns_samples);
-        let speedup = shard_points
-            .first()
-            .map_or(1.0, |base| base.ns_per_event / ns_per_event);
-        println!(
-            "  {s:>9} shards    {ns_per_event:>7.1} ns/event  ±{ci95_ns:.1}  \
-             {:.2} Mev/s  speedup {speedup:.2}x",
-            1e3 / ns_per_event
-        );
-        shard_points.push(ShardPoint {
-            shards: s,
-            events: ev,
-            ns_per_event,
-            ci95_ns,
-            events_per_sec: 1e9 / ns_per_event,
-            speedup,
-        });
-    }
-
     let stamp = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -359,20 +262,6 @@ fn main() {
             if i + 1 < points.len() { "," } else { "" }
         ));
     }
-    artifact.push_str("  ],\n  \"shards\": [\n");
-    for (i, p) in shard_points.iter().enumerate() {
-        artifact.push_str(&format!(
-            "    {{\"shards\": {}, \"events\": {}, \"ns_per_event\": {:.3}, \
-             \"ci95_ns\": {:.3}, \"events_per_sec\": {:.0}, \"speedup\": {:.3}}}{}\n",
-            p.shards,
-            p.events,
-            p.ns_per_event,
-            p.ci95_ns,
-            p.events_per_sec,
-            p.speedup,
-            if i + 1 < shard_points.len() { "," } else { "" }
-        ));
-    }
     artifact.push_str("  ]\n}\n");
     if let Err(e) = std::fs::create_dir_all(&out) {
         eprintln!("bench_scale: cannot create {}: {e}", out.display());
@@ -386,35 +275,6 @@ fn main() {
     println!("[json] {}", path.display());
 
     let mut failed = false;
-
-    if shard_guard {
-        // The speedup floor scales with the cores actually present:
-        // 0.75·cores up to the 8-shard sweep ceiling, capped at the 2×
-        // the acceptance bar asks of a many-core machine. Below 2 cores
-        // there is no parallelism to measure — skip with a notice so
-        // 1-core CI runners stay honest rather than red.
-        if cores < 2 {
-            println!(
-                "bench_scale: shard guard skipped ({cores} core(s) — \
-                 no parallelism to measure)"
-            );
-        } else {
-            let floor = (0.75 * cores.min(8) as f64).min(2.0);
-            let top = shard_points.last().expect("SHARD_COUNTS is non-empty");
-            if top.speedup < floor {
-                eprintln!(
-                    "bench_scale: FAIL {} shards speedup {:.2}x below floor {:.2}x ({cores} cores)",
-                    top.shards, top.speedup, floor
-                );
-                failed = true;
-            } else {
-                println!(
-                    "bench_scale: shard guard passed ({} shards {:.2}x >= {:.2}x)",
-                    top.shards, top.speedup, floor
-                );
-            }
-        }
-    }
 
     if let Some(check_path) = check {
         if matches!(committed, Some(None)) {

@@ -55,46 +55,6 @@ pub fn drive_discipline(d: &mut dyn Discipline, sessions: u32, packets: u64) -> 
     sum
 }
 
-/// Drive `batches` same-(session, instant) arrival bursts of size
-/// `batch` through the discipline, rotating over `sessions` registered
-/// sessions: per burst, either `batch` scalar `on_arrival` calls or one
-/// `on_arrival_batch` call. The packet buffer is reused across bursts so
-/// the measured cost is the arrival math itself, not allocation. Returns
-/// a checksum so the work is not optimized away.
-pub fn drive_arrival_batches(
-    d: &mut dyn Discipline,
-    sessions: u32,
-    batches: u64,
-    batch: usize,
-    batched: bool,
-) -> u128 {
-    let mut sum = 0u128;
-    let mut out: Vec<lit_net::ScheduleDecision> = Vec::with_capacity(batch);
-    let mut buf: Vec<Packet> = (0..batch)
-        .map(|i| Packet::new(SessionId(0), i as u64 + 1, 424, Time::ZERO))
-        .collect();
-    for b in 0..batches {
-        let sid = SessionId((b % u64::from(sessions)) as u32);
-        let now = Time::ZERO + Duration::from_us(50) * b;
-        for p in buf.iter_mut() {
-            p.session = sid;
-        }
-        if batched {
-            out.clear();
-            d.on_arrival_batch(&mut buf, now, &mut out);
-            for dec in &out {
-                sum ^= dec.key;
-            }
-        } else {
-            for p in buf.iter_mut() {
-                let dec = d.on_arrival(p, now);
-                sum ^= dec.key;
-            }
-        }
-    }
-    sum
-}
-
 /// Number of read-modify-write iterations [`calibrate`] performs; divide
 /// its return by this for a per-iteration "machine speed unit".
 pub const CALIBRATE_ITERS: u64 = 10_000_000;

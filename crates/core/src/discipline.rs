@@ -141,65 +141,6 @@ impl Discipline for LitDiscipline {
         ScheduleDecision::at(eligible, f)
     }
 
-    fn on_arrival_batch(
-        &mut self,
-        pkts: &mut [Packet],
-        now: Time,
-        out: &mut Vec<ScheduleDecision>,
-    ) {
-        let Some(sid) = pkts.first().map(|p| p.session) else {
-            return;
-        };
-        let row = self.row(sid);
-
-        // The eq. 8–11 recursion runs over plain u64 ps values with no
-        // per-packet table loads or enum dispatch. Every arithmetic step
-        // is the checked twin of the operator the scalar path uses, so
-        // results (and overflow panics) are bit-identical.
-        let mut k_prev = row.k_prev_ps;
-        let now_ps = now.as_ps();
-        out.reserve(pkts.len());
-
-        // Consecutive equal lengths (the common case: fixed-size cells)
-        // reuse the divisions for d and L/r — an amortization the scalar
-        // path cannot perform without caching state across calls.
-        let mut memo_len = u32::MAX;
-        let mut memo_d_ps = 0u64;
-        let mut memo_lr_ps = 0u64;
-        for pkt in pkts.iter_mut() {
-            debug_assert_eq!(pkt.session, sid, "mixed-session batch");
-            let e_ps = if row.jitter {
-                now_ps
-                    .checked_add(pkt.hold.as_ps())
-                    // lit-lint: allow(no-panic-hot-path, "same failure as the scalar path's `now + pkt.hold`: an eligibility past the clock horizon must stop the run")
-                    .expect("time overflowed")
-            } else {
-                now_ps
-            };
-            if pkt.len_bits != memo_len {
-                memo_len = pkt.len_bits;
-                memo_d_ps = row.coeffs.d_ps(memo_len);
-                memo_lr_ps = Duration::from_bits_at_rate(memo_len as u64, row.rate_bps).as_ps();
-            }
-            let base_ps = e_ps.max(k_prev);
-            let f_ps = base_ps
-                .checked_add(memo_d_ps)
-                // lit-lint: allow(no-panic-hot-path, "same failure as the scalar path's `base + d`: a deadline past the clock horizon must stop the run")
-                .expect("time overflowed");
-            k_prev = base_ps
-                .checked_add(memo_lr_ps)
-                // lit-lint: allow(no-panic-hot-path, "same failure as the scalar path's `base + L/r`: a K stamp past the clock horizon must stop the run")
-                .expect("time overflowed");
-            pkt.deadline = Time::from_ps(f_ps);
-            pkt.d = Duration::from_ps(memo_d_ps);
-            out.push(ScheduleDecision {
-                eligible: Time::from_ps(e_ps),
-                key: f_ps as u128,
-            });
-        }
-        row.k_prev_ps = k_prev;
-    }
-
     fn on_departure(&mut self, pkt: &mut Packet, finish: Time) {
         let d_max = Duration::from_ps(self.row(pkt.session).d_max_ps);
         // Holding time for the next hop, eq. (9):
@@ -378,55 +319,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_bit_exactly() {
-        // Mixed lengths and nonzero upstream holds, jitter control on:
-        // the batched eq. 8–11 path must produce the identical decisions,
-        // deadlines, d stamps, and K recursion as per-packet calls.
-        let lens: [u32; 7] = [424, 424, 424, 848, 848, 212, 424];
-        let run = |batched: bool| {
-            let mut disc = LitDiscipline::new(LinkParams::paper_t1());
-            let mut s = spec(32_000, true);
-            s.max_len_bits = 848;
-            disc.register_session(&s, &DelayAssignment::LenOverRate);
-            let mut out = Vec::new();
-            let mut pkts: Vec<Packet> = lens
-                .iter()
-                .enumerate()
-                .map(|(i, &len)| {
-                    let mut p = Packet::new(SessionId(0), i as u64 + 1, len, Time::ZERO);
-                    p.hold = Duration::from_us(137 * i as u64);
-                    p
-                })
-                .collect();
-            let now = Time::from_ms(3);
-            if batched {
-                disc.on_arrival_batch(&mut pkts, now, &mut out);
-            } else {
-                for p in pkts.iter_mut() {
-                    let dec = disc.on_arrival(p, now);
-                    out.push(dec);
-                }
-            }
-            let stamps: Vec<_> = pkts.iter().map(|p| (p.deadline, p.d)).collect();
-            // One more scalar arrival afterwards: the stored K must agree.
-            let mut tail = Packet::new(SessionId(0), 99, 424, Time::ZERO);
-            let tail_dec = disc.on_arrival(&mut tail, Time::from_secs(1));
-            (out, stamps, tail_dec)
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn a_session_row_fits_in_80_bytes() {
         // The vacant-slot `None` lives in the `jitter` flag's niche.
         assert!(std::mem::size_of::<Option<Row>>() <= 80);
-    }
-
-    #[test]
-    fn batch_on_empty_slice_is_a_no_op() {
-        let mut disc = mk(false);
-        let mut out = Vec::new();
-        disc.on_arrival_batch(&mut [], Time::ZERO, &mut out);
-        assert!(out.is_empty());
     }
 }

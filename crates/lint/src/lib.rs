@@ -1,7 +1,7 @@
 //! # lit-lint — workspace static analysis for clock and hot-path discipline
 //!
 //! A dependency-free, *syntax-aware* static-analysis pass over the whole
-//! workspace, run as `cargo run -p lit-lint -- check`. Seven rules:
+//! workspace, run as `cargo run -p lit-lint -- check`. Six rules:
 //!
 //! * [`rules::RAW_TIME_ARITHMETIC`] — no raw `u64`/`f64` arithmetic,
 //!   narrowing casts, or float literals flowing into `Time`/`Duration`;
@@ -17,9 +17,6 @@
 //! * [`rules::NONDETERMINISTIC_ITERATION`] — no `HashMap`/`HashSet`
 //!   iteration or draining in the engine crates (net/core/sim), where
 //!   iteration order would leak into the deterministic event path;
-//! * [`rules::BARRIER_PROTOCOL`] — a per-loop state machine over the
-//!   sharded executor's window protocol (publish → barrier A → send →
-//!   barrier B → drain), pinning the PR-7 abort-race class;
 //! * [`rules::STALE_ALLOW`] — an allow annotation that suppresses
 //!   nothing is itself a violation, so the allow list can only shrink.
 //!
@@ -30,11 +27,10 @@
 //! `lit-lint-v1`) and SARIF v2.1.0 (`--sarif`), and `--changed-since`
 //! restricts a scan to files touched since a git revision.
 //!
-//! The engine is a hand-rolled lexer ([`lexer`]), a recursive-descent
+//! The engine is a hand-rolled lexer ([`lexer`]) and a recursive-descent
 //! parser producing a lightweight item/statement/expression tree with
-//! spans ([`parser`], [`ast`]), and intra-function control-flow regions
-//! ([`cfg`]) — the build container is fully offline, so `syn` is not
-//! available. The parser never rejects: anything it cannot shape
+//! spans ([`parser`], [`ast`]), so the linter needs no external crates
+//! (no `syn`). The parser never rejects: anything it cannot shape
 //! degrades to leaf spans, and a round-trip property test pins
 //! lex → parse → span-reassembly ≡ source over every workspace file.
 
@@ -42,7 +38,6 @@
 #![deny(missing_docs)]
 
 pub mod ast;
-pub mod cfg;
 pub mod diag;
 pub mod lexer;
 pub mod parser;
@@ -69,8 +64,6 @@ pub struct Config {
     /// Engine-crate source prefixes where iteration order must be
     /// deterministic (`nondeterministic-iteration`).
     pub engine_paths: Vec<String>,
-    /// Files subject to the barrier-protocol window state machine.
-    pub barrier_files: Vec<String>,
     /// When non-empty, only these rules run.
     pub only_rules: BTreeSet<String>,
 }
@@ -80,7 +73,6 @@ impl Default for Config {
         Config {
             hot_paths: [
                 "crates/net/src/network.rs",
-                "crates/net/src/shard.rs",
                 "crates/net/src/arena.rs",
                 "crates/net/src/equeue.rs",
                 "crates/net/src/table.rs",
@@ -103,7 +95,6 @@ impl Default for Config {
             engine_paths: ["crates/net/src/", "crates/core/src/", "crates/sim/src/"]
                 .map(String::from)
                 .to_vec(),
-            barrier_files: ["crates/net/src/shard.rs"].map(String::from).to_vec(),
             only_rules: BTreeSet::new(),
         }
     }
@@ -123,11 +114,6 @@ impl Config {
     /// Is `rel` engine-crate source (deterministic iteration required)?
     pub fn is_engine_path(&self, rel: &str) -> bool {
         self.engine_paths.iter().any(|p| rel.starts_with(p))
-    }
-
-    /// Is `rel` subject to the barrier-protocol state machine?
-    pub fn is_barrier_file(&self, rel: &str) -> bool {
-        self.barrier_files.iter().any(|p| p == rel)
     }
 
     /// Production source: anything under a `src/` directory (unit-test

@@ -6,14 +6,12 @@ use crate::diag::Finding;
 use crate::source::SourceFile;
 use crate::Config;
 
-mod barrier;
 mod checked_clock;
 mod forbid_unsafe;
 mod no_panic;
 mod nondet_iter;
 mod raw_time;
 
-pub use barrier::BARRIER_PROTOCOL;
 pub use checked_clock::CHECKED_CLOCK_OPS;
 pub use forbid_unsafe::FORBID_UNSAFE;
 pub use no_panic::NO_PANIC_HOT_PATH;
@@ -75,16 +73,9 @@ pub fn all() -> Vec<Rule> {
             name: NONDETERMINISTIC_ITERATION,
             describe: "no HashMap/HashSet iteration or order-dependent draining in the \
                        engine crates (net/core/sim)",
-            protects: "byte-identical results across shard counts (DESIGN.md §12) — only \
+            protects: "seeded replay: one seed reproduces byte-identical results — only \
                        as strong as every iteration order in the event path",
             check: nondet_iter::check,
-        },
-        Rule {
-            name: BARRIER_PROTOCOL,
-            describe: "window state machine over crates/net/src/shard.rs: publish → \
-                       barrier A → sends → barrier B → abort check / drain",
-            protects: "the abort-race deadlock class loom caught after the fact in PR 7",
-            check: barrier::check,
         },
         Rule {
             name: STALE_ALLOW,

@@ -1,9 +1,9 @@
 //! `nondeterministic-iteration` — no `HashMap`/`HashSet` iteration or
 //! order-dependent draining in the engine crates.
 //!
-//! The repo's central determinism claim (byte-identical results across
-//! shard counts, DESIGN.md §12) is only as strong as every iteration
-//! order in the event path. `HashMap`/`HashSet` iteration order is
+//! The repo's central determinism claim (seeded replay: one seed, one
+//! byte-identical result, on any machine and at any `--threads` count)
+//! is only as strong as every iteration order in the event path. `HashMap`/`HashSet` iteration order is
 //! randomized per process, so a single `.iter()` over a hash container
 //! in `net`/`core`/`sim` can silently break byte-identity while every
 //! dynamic pin still passes on the machine that grew it.
@@ -239,7 +239,7 @@ pub fn check(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
                 i,
                 format!(
                     ".{}() iterates a HashMap/HashSet — order is randomized per process, \
-                     which breaks byte-identical replay across shard counts; use BTreeMap/\
+                     which breaks byte-identical seeded replay; use BTreeMap/\
                      BTreeSet or sort before iterating",
                     t.text
                 ),
@@ -261,7 +261,7 @@ pub fn check(file: &SourceFile, cfg: &Config) -> Vec<Finding> {
                     for_findings.push((
                         sp.lo,
                         "for-loop over a HashMap/HashSet — order is randomized per process, \
-                         which breaks byte-identical replay across shard counts; use BTreeMap/\
+                         which breaks byte-identical seeded replay; use BTreeMap/\
                          BTreeSet or sort before iterating"
                             .to_string(),
                     ));

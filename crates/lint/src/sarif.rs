@@ -109,7 +109,7 @@ mod tests {
         });
         r.findings.push(Finding {
             rule: "checked-clock-ops",
-            file: "crates/net/src/shard.rs".into(),
+            file: "crates/net/src/network.rs".into(),
             line: 3,
             col: 1,
             message: "saturating on a clock".into(),

@@ -1,8 +1,8 @@
 //! Known-bad fixture for `nondeterministic-iteration`: HashMap/HashSet
 //! iteration and draining inside an engine crate. Iteration order of the
 //! std hash collections varies per process (RandomState), so any of
-//! these leaking into the event path breaks the byte-identical
-//! cross-shard determinism contract of DESIGN.md §12. Never compiled.
+//! these leaking into the event path breaks seeded replay: the same
+//! seed must reproduce byte-identical results. Never compiled.
 #![forbid(unsafe_code)]
 
 use std::collections::{HashMap, HashSet};

@@ -8,8 +8,8 @@
 #![forbid(unsafe_code)]
 
 use lit_lint::rules::{
-    BARRIER_PROTOCOL, CHECKED_CLOCK_OPS, FORBID_UNSAFE, NONDETERMINISTIC_ITERATION,
-    NO_PANIC_HOT_PATH, RAW_TIME_ARITHMETIC,
+    CHECKED_CLOCK_OPS, FORBID_UNSAFE, NONDETERMINISTIC_ITERATION, NO_PANIC_HOT_PATH,
+    RAW_TIME_ARITHMETIC,
 };
 use lit_lint::{check_source, run_check, Config};
 
@@ -18,7 +18,6 @@ const NO_PANIC: &str = include_str!("fixtures/no_panic_hot_path.rs");
 const NO_FORBID: &str = include_str!("fixtures/forbid_unsafe.rs");
 const CHECKED: &str = include_str!("fixtures/checked_clock_ops.rs");
 const NONDET: &str = include_str!("fixtures/nondet_iteration.rs");
-const BARRIER: &str = include_str!("fixtures/barrier_protocol.rs");
 const CLEAN: &str = include_str!("fixtures/clean.rs");
 
 /// Unsuppressed findings of `rule` when `src` pretends to live at `rel`.
@@ -102,46 +101,6 @@ fn nondet_iteration_fixture_fires_in_engine_crates_only() {
 }
 
 #[test]
-fn barrier_fixture_reconstructs_the_pr7_deadlock() {
-    // The fixture is the pre-fix PR-7 worker loop (plus two synthetic
-    // phase violations). The headline finding is the abort.load in the
-    // break condition between barrier A and barrier B — the exact race
-    // loom caught after the fact.
-    let cfg = Config::default();
-    let fs = check_source("crates/net/src/shard.rs", BARRIER, &cfg);
-    let barrier: Vec<_> = fs
-        .iter()
-        .filter(|f| !f.allowed() && f.rule == BARRIER_PROTOCOL)
-        .collect();
-    assert!(
-        barrier.len() >= 3,
-        "want >= 3 barrier findings (abort-in-phase-1, early drain, conditional wait), got {barrier:?}"
-    );
-    assert!(
-        barrier.iter().any(|f| f.message.contains("PR-7")),
-        "the abort-race finding must fire: {barrier:?}"
-    );
-    // The same file under any other path is out of the rule's scope.
-    assert_eq!(
-        violations("crates/net/src/mailbox.rs", BARRIER, BARRIER_PROTOCOL),
-        0
-    );
-}
-
-#[test]
-fn the_real_shard_worker_loop_passes() {
-    // The committed post-fix shard.rs must be protocol-clean: the rule
-    // exists to keep it that way.
-    let src = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../net/src/shard.rs"))
-        .expect("read crates/net/src/shard.rs");
-    assert_eq!(
-        violations("crates/net/src/shard.rs", &src, BARRIER_PROTOCOL),
-        0,
-        "the fixed worker loop must satisfy the window protocol"
-    );
-}
-
-#[test]
 fn clean_fixture_is_clean_even_on_a_hot_path() {
     let fs = check_source("crates/sim/src/queue.rs", CLEAN, &Config::default());
     let bad: Vec<_> = fs.iter().filter(|f| !f.allowed()).collect();
@@ -161,7 +120,7 @@ fn injected_violation_fails_a_workspace_scan() {
          // lit-lint: allow(no-panic-hot-path, \"nothing here panics — the allow is dead\")\n\
          pub fn fine() -> u64 { 7 }\n";
     // (relative injection path, fixture source, rule that must fire)
-    let injections: [(&str, &str, &str); 7] = [
+    let injections: [(&str, &str, &str); 6] = [
         ("crates/sim/src/bad_time.rs", RAW_TIME, RAW_TIME_ARITHMETIC),
         (
             // A configured hot path: the eligible queue.
@@ -176,7 +135,6 @@ fn injected_violation_fails_a_workspace_scan() {
             NONDET,
             NONDETERMINISTIC_ITERATION,
         ),
-        ("crates/net/src/shard.rs", BARRIER, BARRIER_PROTOCOL),
         (
             "crates/sim/src/dead_allow.rs",
             stale_allow_src,

@@ -1,16 +1,15 @@
 //! Generational packet arena: allocation-free packet storage for the
 //! executor's hot loop.
 //!
-//! Both engines park every packet in flight in a [`PacketArena`] slot —
-//! the scalar engine one arena for the whole network, the sharded engine
-//! one per shard. Events, eligible queues, regulator FIFOs and the
-//! in-service slot carry a dense 8-byte [`PacketRef`] instead of the
+//! The executor parks every packet in flight in one [`PacketArena`] slot
+//! for the whole network. Events, eligible queues, regulator FIFOs and
+//! the in-service slot carry a dense 8-byte [`PacketRef`] instead of the
 //! ~72-byte [`Packet`] itself, so a future-event entry fits in 32 bytes
-//! and moving it never copies scheduler scratch fields around. In the
-//! scalar engine a packet held by a per-session regulator also parks its
-//! priority key and eligibility instant here ([`PacketArena::park`]), in
-//! a column touched only by held packets. Slots are recycled through an
-//! in-place free list on delivery or cross-shard handoff, so steady-state
+//! and moving it never copies scheduler scratch fields around. A packet
+//! held by a per-session regulator also parks its priority key and
+//! eligibility instant here ([`PacketArena::park`]), in a column touched
+//! only by held packets. Slots are recycled through an in-place free list
+//! on delivery, so steady-state
 //! simulation performs **zero** allocator traffic: capacity grows to the
 //! high-water mark of concurrently live packets and then stays put, the
 //! same bounded-churn contract [`crate::IdSlab`] gives session ids.
@@ -19,7 +18,7 @@
 //! bumped on free, and a [`PacketRef`] embeds the generation it was minted
 //! with. A stale reference (use after free/take) is therefore detected
 //! instead of silently aliasing an unrelated packet — `get`/`take` return
-//! `None`, and the executors' accessors (`packet`, `packet_mut`, `remove`)
+//! `None`, and the executor's accessors (`packet`, `packet_mut`, `remove`)
 //! stop the run on the wiring bug.
 
 use crate::packet::Packet;

@@ -98,8 +98,7 @@ pub fn global_regulator() -> Option<RegulatorBackend> {
 /// One queued entry of a node's shared interleaved regulator.
 #[derive(Debug)]
 pub(crate) struct RegEntry<P> {
-    /// The held packet (a `Packet` on the scalar engine, a `PacketRef`
-    /// on the sharded one).
+    /// The held packet (the executor stores its arena `PacketRef`).
     pub(crate) item: P,
     /// The priority key the discipline assigned on arrival, carried
     /// through the hold so release enqueues with the original key.
@@ -174,9 +173,9 @@ impl ScheduleDecision {
 
 /// A per-node packet scheduler.
 ///
-/// `Send` is a supertrait so the sharded executor can move each node's
-/// discipline onto its owning shard's worker thread; disciplines hold
-/// plain per-session scheduling state, never shared handles.
+/// `Send` is a supertrait so a built [`crate::Network`] stays `Send` and
+/// can be moved to another thread; disciplines hold plain per-session
+/// scheduling state, never shared handles.
 pub trait Discipline: Send {
     /// Human-readable name for reports and traces.
     fn name(&self) -> &'static str;
@@ -196,12 +195,12 @@ pub trait Discipline: Send {
 
     /// A batch of packets of **one session** all arrived at `now`, in
     /// sequence order. Pushes one decision per packet onto `out`, in
-    /// order; must be observably identical to calling [`Self::on_arrival`]
-    /// on each packet in turn (the default does exactly that).
+    /// order, exactly as calling [`Self::on_arrival`] on each packet in
+    /// turn does (the default body, and the only implementation here).
     ///
-    /// Disciplines override this to amortize dispatch and per-session
-    /// state loads across the batch and run the eq. 8–11 recursion over
-    /// plain fixed-point values.
+    /// The executor never calls this: it dispatches every arrival through
+    /// [`Self::on_arrival`]. The method stays only because the `perfbench`
+    /// harness's timing decorator overrides it.
     fn on_arrival_batch(
         &mut self,
         pkts: &mut [Packet],

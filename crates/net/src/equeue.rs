@@ -37,9 +37,8 @@ pub enum QueueKind {
     },
 }
 
-/// The eligible queue of one node, generic over the queued payload: the
-/// scalar executor stores packets by value, the sharded executor stores
-/// dense [`crate::PacketRef`] arena indices.
+/// The eligible queue of one node, generic over the queued payload (the
+/// executor stores dense [`crate::PacketRef`] arena indices).
 pub(crate) enum EligibleQueue<T> {
     Exact {
         heap: BinaryHeap<KeyedEntry<u128, T>>,

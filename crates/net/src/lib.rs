@@ -42,7 +42,6 @@ mod equeue;
 mod network;
 pub mod oracle;
 mod packet;
-pub mod shard;
 mod spec;
 mod stats;
 mod table;
@@ -66,7 +65,7 @@ pub use table::{IdSlab, SessionTable};
 mod tests {
     use super::*;
     use lit_sim::{Duration, Time};
-    use lit_traffic::{BurstSource, DeterministicSource, PoissonSource, TraceSource};
+    use lit_traffic::{DeterministicSource, PoissonSource, TraceSource};
 
     /// Plain FCFS used to exercise the executor machinery.
     struct Fifo {
@@ -401,52 +400,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(EventBackend::Heap), run(EventBackend::Wheel));
-    }
-
-    #[test]
-    fn batched_arrivals_match_scalar() {
-        // The batched-arrival executor drains same-instant same-(session,
-        // hop) arrivals in one discipline call. Since the drained pops mint
-        // no sequence numbers and pushes keep their order, a batched run
-        // must be bit-identical to the scalar one — including the total
-        // event-push count. Zero-length bursts make the check non-vacuous:
-        // tx_time(0) = 0, so a whole burst lands at the next hop at one
-        // instant and real multi-packet batches form (with nonzero lengths
-        // the upstream link serializes arrivals and every batch has size 1).
-        let run = |batch: bool| {
-            let mut b = NetworkBuilder::new().seed(35).batch_arrivals(batch);
-            let nodes = b.tandem(3, LinkParams::paper_t1());
-            let mut sids = Vec::new();
-            // Distinct prime periods: sessions bursting at the same instant
-            // would interleave their arrivals (round-robin over same-time
-            // Inject events) and break the same-(session, hop) runs that
-            // pop_if drains.
-            for period_ms in [5u64, 7, 11, 13] {
-                sids.push(b.add_session(
-                    SessionSpec::atm(SessionId(0), 150_000),
-                    &nodes,
-                    Box::new(BurstSource::new(Duration::from_ms(period_ms), 6, 0)),
-                ));
-            }
-            for _ in 0..4 {
-                sids.push(b.add_session(
-                    SessionSpec::atm(SessionId(0), 150_000),
-                    &nodes,
-                    Box::new(PoissonSource::new(Duration::from_ms(4), 424)),
-                ));
-            }
-            let mut net = b.build(&fifo_factory(Duration::from_us(30)));
-            net.run_until(Time::from_secs(10));
-            let stats = sids
-                .iter()
-                .map(|&s| {
-                    let st = net.session_stats(s);
-                    (st.delivered, st.max_delay(), st.jitter())
-                })
-                .collect::<Vec<_>>();
-            (net.event_count(), stats)
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -89,26 +89,24 @@ enum Event {
 }
 
 /// A session definition awaiting `build`.
-pub(crate) struct SessionDef {
-    pub(crate) spec: SessionSpec,
-    pub(crate) hops: Vec<(u32, DelayAssignment)>,
-    pub(crate) source: Box<dyn Source>,
+struct SessionDef {
+    spec: SessionSpec,
+    hops: Vec<(u32, DelayAssignment)>,
+    source: Box<dyn Source>,
 }
 
 /// Builds a [`Network`]: add nodes, add sessions on routes, then `build`
 /// with a discipline factory.
 pub struct NetworkBuilder {
-    pub(crate) links: Vec<LinkParams>,
-    pub(crate) sessions: Vec<SessionDef>,
-    pub(crate) stats_cfg: StatsConfig,
-    pub(crate) master_seed: u64,
-    pub(crate) queue_kind: QueueKind,
-    pub(crate) event_backend: EventBackend,
-    pub(crate) oracle: OracleConfig,
-    pub(crate) probe: Option<Box<dyn Probe>>,
-    pub(crate) batch_arrivals: bool,
-    pub(crate) shards: usize,
-    pub(crate) regulator: RegulatorBackend,
+    links: Vec<LinkParams>,
+    sessions: Vec<SessionDef>,
+    stats_cfg: StatsConfig,
+    master_seed: u64,
+    queue_kind: QueueKind,
+    event_backend: EventBackend,
+    oracle: OracleConfig,
+    probe: Option<Box<dyn Probe>>,
+    regulator: RegulatorBackend,
 }
 
 impl Default for NetworkBuilder {
@@ -129,8 +127,6 @@ impl NetworkBuilder {
             event_backend: EventBackend::default(),
             oracle: OracleConfig::off(),
             probe: None,
-            batch_arrivals: false,
-            shards: 1,
             regulator: RegulatorBackend::PerSession,
         }
     }
@@ -143,44 +139,9 @@ impl NetworkBuilder {
     /// behind earlier-queued packets of other sessions, so the paper's
     /// per-session lateness allowance no longer applies and the oracle
     /// swaps that check for the interleaved-regulator release-order and
-    /// shaping-delay invariants. Batched arrival dispatch is ignored under
-    /// the interleaved backend (holds couple sessions, so arrivals cannot
-    /// be drained per session).
+    /// shaping-delay invariants.
     pub fn regulator(mut self, backend: RegulatorBackend) -> Self {
         self.regulator = backend;
-        self
-    }
-
-    /// Partition the nodes across `n` shard workers, each running its own
-    /// event loop inside conservative lookahead windows (default: 1, the
-    /// scalar executor). Results are byte-identical across every sharded
-    /// count (`n ≥ 2`); they also match the scalar engine whenever no
-    /// two network events share an instant (staggered sources). With
-    /// same-instant ties the engines may order concurrent packets of
-    /// *different* sessions at one node differently — scalar breaks ties
-    /// in queue-push order, sharded in canonical content order — and the
-    /// sharded jitter oracle checks against the delivered-side reference
-    /// maximum where scalar reads it injection-side (never looser, and
-    /// itself shard-count-invariant); see [`crate::shard`] for both
-    /// deviations. Falls back to the scalar executor when a probe is
-    /// installed, the oracle is in panic mode, or a cross-shard link has
-    /// zero propagation delay (no lookahead); the degrade bumps
-    /// [`crate::shard::shard_fallbacks`] and shows in
-    /// [`Network::shard_count`].
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
-        self
-    }
-
-    /// Drain same-instant arrivals of one session at one node as a batch
-    /// through [`Discipline::on_arrival_batch`] (default: off). Observably
-    /// identical to scalar dispatch — the batch is exactly the run of
-    /// consecutive `Arrive` events the scalar loop would pop anyway, and
-    /// every push happens in the same order with the same sequence
-    /// numbers. Ignored (scalar dispatch) while a probe or the oracle is
-    /// installed, so per-packet hook and check ordering stays untouched.
-    pub fn batch_arrivals(mut self, on: bool) -> Self {
-        self.batch_arrivals = on;
         self
     }
 
@@ -279,55 +240,8 @@ impl NetworkBuilder {
     }
 
     /// Instantiate the network, creating one discipline per node and
-    /// registering every session at every node it traverses. The engine
-    /// is scalar unless [`NetworkBuilder::shards`] asked for more than
-    /// one shard *and* sharding is admissible (see [`Self::shards`]).
+    /// registering every session at every node it traverses.
     pub fn build(self, factory: &DisciplineFactory<'_>) -> Network {
-        let shards = self.effective_shards();
-        if shards <= 1 && self.shards > 1 {
-            crate::shard::record_fallback();
-        }
-        if shards > 1 {
-            Network {
-                inner: Engine::Sharded(Box::new(crate::shard::ShardedNet::build(
-                    self, factory, shards,
-                ))),
-            }
-        } else {
-            Network {
-                inner: Engine::Scalar(Box::new(self.build_scalar(factory))),
-            }
-        }
-    }
-
-    /// The shard count `build` will actually use: the requested count,
-    /// clamped to the node count, degraded to 1 (scalar) whenever the
-    /// sharded engine cannot reproduce scalar observability — a probe
-    /// hooks every dispatch in global order, panic-mode oracling must
-    /// stop at the *first* violation globally — or whenever a
-    /// cross-shard hop has zero propagation delay, which would make the
-    /// conservative lookahead window empty.
-    pub(crate) fn effective_shards(&self) -> usize {
-        let s = self.shards.min(self.links.len()).max(1);
-        if s <= 1 || self.probe.is_some() || self.oracle.mode == OracleMode::Panic {
-            return 1;
-        }
-        let owner = |node: usize| crate::shard::owner_of(node, self.links.len(), s);
-        for def in &self.sessions {
-            for w in def.hops.windows(2) {
-                // lit-lint: allow(no-panic-hot-path, "windows(2) yields exactly two elements")
-                let (a, b) = (w[0].0 as usize, w[1].0 as usize);
-                // lit-lint: allow(no-panic-hot-path, "route nodes index the builder's link table by construction")
-                if owner(a) != owner(b) && self.links[a].propagation == lit_sim::Duration::ZERO {
-                    return 1;
-                }
-            }
-        }
-        s
-    }
-
-    /// Instantiate the scalar (single-threaded) engine.
-    pub(crate) fn build_scalar(self, factory: &DisciplineFactory<'_>) -> ScalarNet {
         let mut nodes: Vec<NodeRt> = self
             .links
             .iter()
@@ -375,20 +289,10 @@ impl NetworkBuilder {
             p.on_build(self.master_seed, self.links.len(), &session_hops);
         }
 
-        // Batching is observably identical only when nothing watches the
-        // per-packet dispatch order: probes and the oracle both hook each
-        // arrival individually, so they force the scalar path. The
-        // interleaved regulator couples sessions through the shared FIFO,
-        // so its arrivals cannot be drained per session either.
-        let batch_arrivals = self.batch_arrivals
-            && probe.is_none()
-            && self.oracle.mode == OracleMode::Off
-            && self.regulator == RegulatorBackend::PerSession;
-
         let mut oracle = OracleRt::new(self.oracle, &session_hops);
         oracle.interleaved = self.regulator == RegulatorBackend::Interleaved;
 
-        ScalarNet {
+        Network {
             nodes,
             sessions,
             events,
@@ -398,20 +302,14 @@ impl NetworkBuilder {
             oracle,
             probe,
             arena: PacketArena::new(),
-            batch_arrivals,
-            batch_refs: Vec::new(),
-            batch_pkts: Vec::new(),
-            batch_out: Vec::new(),
             regulator: self.regulator,
         }
     }
 }
 
-/// The scalar (single-threaded) engine: topology + sessions +
-/// future-event set + accumulated statistics. Public API lives on the
-/// [`Network`] facade, which dispatches between this and the sharded
-/// engine.
-pub(crate) struct ScalarNet {
+/// The network: topology + sessions + future-event set + accumulated
+/// statistics, advanced by one sequential discrete-event loop.
+pub struct Network {
     nodes: Vec<NodeRt>,
     sessions: Vec<SessionRt>,
     events: EventQueue<Event>,
@@ -422,19 +320,12 @@ pub(crate) struct ScalarNet {
     probe: Option<Box<dyn Probe>>,
     /// Every packet in flight, from injection to delivery.
     arena: PacketArena,
-    /// Batched-arrival dispatch enabled (see
-    /// [`NetworkBuilder::batch_arrivals`]).
-    batch_arrivals: bool,
-    /// Scratch buffers reused across batches (capacity persists).
-    batch_refs: Vec<PacketRef>,
-    batch_pkts: Vec<Packet>,
-    batch_out: Vec<ScheduleDecision>,
     /// How the nodes realize their delay regulators (see
     /// [`NetworkBuilder::regulator`]).
     regulator: RegulatorBackend,
 }
 
-impl ScalarNet {
+impl Network {
     /// Advance the simulation until no event at or before `until` remains.
     /// May be called repeatedly with growing horizons.
     pub fn run_until(&mut self, until: Time) {
@@ -496,7 +387,6 @@ impl ScalarNet {
     fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::Inject { sid } => self.inject(sid),
-            Event::Arrive { p } if self.batch_arrivals => self.arrive_batched(p),
             Event::Arrive { p } => self.arrive(p),
             Event::Eligible { p } => self.eligible(p),
             Event::RegFire { node, at } => self.reg_fire(node, at),
@@ -773,69 +663,6 @@ impl ScalarNet {
         }
     }
 
-    /// Batched arrival dispatch: `first` just popped at `now`; drain the
-    /// run of consecutive `Arrive` events for the same `(session, hop)` at
-    /// the same instant and push the whole run through
-    /// [`Discipline::on_arrival_batch`].
-    ///
-    /// Equivalence with the scalar path: the drained events are exactly
-    /// the ones the scalar loop would pop next anyway (the future-event
-    /// set is FIFO among equal timestamps, and `pop_if` stops at the first
-    /// non-matching front), pops mint no sequence numbers, and the
-    /// per-packet pushes below happen in the same order as scalar
-    /// processing would emit them — so every downstream event gets the
-    /// identical timestamp *and* sequence number. Only reached when no
-    /// probe/oracle is installed (see [`NetworkBuilder::batch_arrivals`]).
-    fn arrive_batched(&mut self, first: PacketRef) {
-        let head = self.arena.packet(first);
-        let (sid, hop) = (head.session, head.hop);
-        let now = self.now;
-        let mut refs = std::mem::take(&mut self.batch_refs);
-        refs.clear();
-        refs.push(first);
-        let arena = &self.arena;
-        while let Some((_, ev)) = self.events.pop_if(|at, ev| {
-            at == now
-                && matches!(ev, Event::Arrive { p }
-                    if arena.get(*p).is_some_and(|k| k.session == sid && k.hop == hop))
-        }) {
-            if let Event::Arrive { p } = ev {
-                refs.push(p);
-            }
-        }
-        // Copy the run out of the arena ([`Packet`] is `Copy`), batch
-        // it, and write the stamped packets back.
-        let mut batch = std::mem::take(&mut self.batch_pkts);
-        batch.clear();
-        batch.extend(refs.iter().map(|&r| *self.arena.packet(r)));
-        let sidx = sid.index();
-        let hopx = hop as usize;
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: packets carry the session id and hop index they were routed with at build")
-        let node_idx = self.sessions[sidx].hops[hopx].0 as usize;
-        for pkt in batch.iter_mut() {
-            pkt.arrived = now;
-        }
-        let mut out = std::mem::take(&mut self.batch_out);
-        out.clear();
-        // lit-lint: allow(no-panic-hot-path, "executor invariant: node ids come from the build-time topology")
-        let node = &mut self.nodes[node_idx];
-        node.discipline.on_arrival_batch(&mut batch, now, &mut out);
-        debug_assert_eq!(out.len(), batch.len(), "one decision per packet");
-        for ((&r, pkt), decision) in refs.iter().zip(&batch).zip(out.drain(..)) {
-            debug_assert!(
-                decision.eligible >= now,
-                "discipline produced an eligibility time in the past"
-            );
-            *self.arena.packet_mut(r) = *pkt;
-            // lit-lint: allow(no-panic-hot-path, "session_stats is built with one entry per session; sid comes from the packet's build-time id")
-            self.session_stats[sidx].occupy(hopx, pkt.len_bits as u64);
-            self.hold_or_enqueue(node_idx as u32, r, decision);
-        }
-        self.batch_refs = refs;
-        self.batch_pkts = batch;
-        self.batch_out = out;
-    }
-
     /// Put an eligible packet in the node's transmission queue and start
     /// the link if idle.
     fn enqueue_eligible(&mut self, node_idx: u32, p: PacketRef, key: u128) {
@@ -1005,9 +832,7 @@ impl ScalarNet {
             self.start_tx(node_idx);
         }
     }
-}
 
-impl ScalarNet {
     /// The outgoing-link parameters of a node.
     pub fn node_link(&self, id: NodeId) -> &LinkParams {
         // lit-lint: allow(no-panic-hot-path, "public accessor: panicking on an invalid id is the documented contract")
@@ -1051,6 +876,12 @@ impl ScalarNet {
     /// Violation counts by kind.
     pub fn oracle_totals(&self) -> OracleTotals {
         self.oracle.totals
+    }
+
+    /// Always 1: the network runs on one sequential event loop. Kept
+    /// because the `perfbench` run record still reports a shard count.
+    pub fn shard_count(&self) -> usize {
+        1
     }
 
     /// Drain-time checks: (a) ineq. 16 — for every session with installed
@@ -1135,7 +966,7 @@ impl ScalarNet {
     }
 }
 
-impl Drop for ScalarNet {
+impl Drop for Network {
     fn drop(&mut self) {
         // Run the drain-time distribution check if the caller didn't.
         // Forced to counting mode: panicking in drop would abort, and the
@@ -1154,169 +985,6 @@ impl Drop for ScalarNet {
             if let Some(p) = self.probe.as_deref_mut() {
                 p.finish(now);
             }
-        }
-    }
-}
-
-/// The engine behind the facade: one scalar event loop, or per-shard
-/// event loops coupled through conservative lookahead windows.
-enum Engine {
-    // Both engines inline multi-hundred-byte tables; boxing keeps the
-    // facade enum pointer-sized (clippy::large_enum_variant).
-    Scalar(Box<ScalarNet>),
-    Sharded(Box<crate::shard::ShardedNet>),
-}
-
-/// The network: topology + sessions + executor + accumulated statistics.
-///
-/// Dispatches between the scalar engine and the sharded engine.
-/// Statistics, traces and oracle counts are byte-identical across all
-/// sharded counts, and match the scalar engine whenever no two events
-/// share an instant — see [`NetworkBuilder::shards`] for the tie-order
-/// and jitter-oracle caveats on tie-heavy workloads, and
-/// [`Network::shard_count`] for which engine actually ran.
-pub struct Network {
-    inner: Engine,
-}
-
-impl Network {
-    /// Advance the simulation until no event at or before `until` remains.
-    /// May be called repeatedly with growing horizons.
-    pub fn run_until(&mut self, until: Time) {
-        match &mut self.inner {
-            Engine::Scalar(n) => n.run_until(until),
-            Engine::Sharded(n) => n.run_until(until),
-        }
-    }
-
-    /// Current simulation clock.
-    pub fn now(&self) -> Time {
-        match &self.inner {
-            Engine::Scalar(n) => n.now(),
-            Engine::Sharded(n) => n.now(),
-        }
-    }
-
-    /// Statistics of one session.
-    pub fn session_stats(&self, id: SessionId) -> &SessionStats {
-        match &self.inner {
-            Engine::Scalar(n) => n.session_stats(id),
-            Engine::Sharded(n) => n.session_stats(id),
-        }
-    }
-
-    /// Statistics of one node.
-    pub fn node_stats(&self, id: NodeId) -> &NodeStats {
-        match &self.inner {
-            Engine::Scalar(n) => n.node_stats(id),
-            Engine::Sharded(n) => n.node_stats(id),
-        }
-    }
-
-    /// The spec a session was registered with.
-    pub fn session_spec(&self, id: SessionId) -> &SessionSpec {
-        match &self.inner {
-            Engine::Scalar(n) => n.session_spec(id),
-            Engine::Sharded(n) => n.session_spec(id),
-        }
-    }
-
-    /// Number of sessions.
-    pub fn num_sessions(&self) -> usize {
-        match &self.inner {
-            Engine::Scalar(n) => n.num_sessions(),
-            Engine::Sharded(n) => n.num_sessions(),
-        }
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        match &self.inner {
-            Engine::Scalar(n) => n.num_nodes(),
-            Engine::Sharded(n) => n.num_nodes(),
-        }
-    }
-
-    /// The per-hop delay assignments of a session (node index, assignment).
-    pub fn session_hops(&self, id: SessionId) -> &[(u32, DelayAssignment)] {
-        match &self.inner {
-            Engine::Scalar(n) => n.session_hops(id),
-            Engine::Sharded(n) => n.session_hops(id),
-        }
-    }
-
-    /// The outgoing-link parameters of a node.
-    pub fn node_link(&self, id: NodeId) -> &LinkParams {
-        match &self.inner {
-            Engine::Scalar(n) => n.node_link(id),
-            Engine::Sharded(n) => n.node_link(id),
-        }
-    }
-
-    /// Install the conformance-oracle bound constants for one session
-    /// (normally done for every session by
-    /// `lit_core::install_oracle_bounds`). No-op when the oracle is off.
-    pub fn set_session_bounds(&mut self, id: SessionId, bounds: SessionBounds) {
-        match &mut self.inner {
-            Engine::Scalar(n) => n.set_session_bounds(id, bounds),
-            Engine::Sharded(n) => n.set_session_bounds(id, bounds),
-        }
-    }
-
-    /// Total events ever pushed onto the future-event set (a proxy for
-    /// simulation work, used by the overhead-guard benchmark). Invariant
-    /// across shard counts: same workload, same count.
-    pub fn event_count(&self) -> u64 {
-        match &self.inner {
-            Engine::Scalar(n) => n.event_count(),
-            Engine::Sharded(n) => n.event_count(),
-        }
-    }
-
-    /// Remove the installed observability probe, finishing it first.
-    /// Always `None` on the sharded engine — a probe forces the scalar
-    /// engine at `build` (see [`NetworkBuilder::shards`]), so a sharded
-    /// network never holds one.
-    pub fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        match &mut self.inner {
-            Engine::Scalar(n) => n.take_probe(),
-            Engine::Sharded(_) => None,
-        }
-    }
-
-    /// Total conformance-oracle violations recorded by this network.
-    pub fn oracle_violations(&self) -> u64 {
-        match &self.inner {
-            Engine::Scalar(n) => n.oracle_violations(),
-            Engine::Sharded(n) => n.oracle_violations(),
-        }
-    }
-
-    /// Violation counts by kind.
-    pub fn oracle_totals(&self) -> OracleTotals {
-        match &self.inner {
-            Engine::Scalar(n) => n.oracle_totals(),
-            Engine::Sharded(n) => n.oracle_totals(),
-        }
-    }
-
-    /// Drain-time checks: ineq. 16 per session with installed bounds and
-    /// workload-conservation sanity per node (`ScalarNet::oracle_drain_check`
-    /// internally); returns the number of sessions plus nodes that failed.
-    /// Runs automatically in counting mode on drop if not called explicitly.
-    pub fn oracle_drain_check(&mut self) -> u64 {
-        match &mut self.inner {
-            Engine::Scalar(n) => n.oracle_drain_check(),
-            Engine::Sharded(n) => n.oracle_drain_check(),
-        }
-    }
-
-    /// How many shard workers the built engine actually uses (1 for the
-    /// scalar engine, including every fallback case).
-    pub fn shard_count(&self) -> usize {
-        match &self.inner {
-            Engine::Scalar(_) => 1,
-            Engine::Sharded(n) => n.shard_count(),
         }
     }
 }
@@ -1362,7 +1030,7 @@ mod tests {
             &nodes,
             Box::new(TraceSource::from_pairs(pairs)),
         );
-        let mut net = b.build_scalar(&|_: &LinkParams| Box::new(HeldFifo) as Box<dyn Discipline>);
+        let mut net = b.build(&|_: &LinkParams| Box::new(HeldFifo) as Box<dyn Discipline>);
         net.run_until(Time::from_secs(2));
         assert_eq!(net.session_stats(sid).delivered, 40);
         assert_eq!(net.arena.live(), 0, "every delivered packet freed its slot");

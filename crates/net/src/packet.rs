@@ -36,9 +36,9 @@ impl NodeId {
 /// departure when it stamps `hold` for the next hop. Baseline disciplines
 /// that don't need them simply leave them at their defaults.
 ///
-/// Every field is a scalar, so a packet is `Copy`: the sharded executor
-/// moves packets between [`crate::PacketArena`]s and across shard
-/// mailboxes by value, with no per-packet heap traffic.
+/// Every field is a scalar, so a packet is `Copy`: the executor reads a
+/// snapshot out of its [`crate::PacketArena`] slot while it updates
+/// statistics and the oracle, with no per-packet heap traffic.
 #[derive(Clone, Copy, Debug)]
 pub struct Packet {
     /// Owning session.

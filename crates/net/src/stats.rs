@@ -148,35 +148,6 @@ impl SessionStats {
         }
     }
 
-    /// Fold another partial accumulator for the *same* session into this
-    /// one. Used by the sharded executor: each shard accumulates only the
-    /// fields its own hops write (injection fields on the first-hop
-    /// shard, delivery fields on the last-hop shard, per-hop occupancy on
-    /// the hop's owner), so partials are field-disjoint and absorbing
-    /// them in any fixed order reconstructs exactly the scalar totals.
-    pub(crate) fn absorb(&mut self, o: &SessionStats) {
-        self.injected += o.injected;
-        self.delivered += o.delivered;
-        self.e2e.merge(&o.e2e);
-        self.reference.merge(&o.reference);
-        for (a, b) in self.buffer.iter_mut().zip(&o.buffer) {
-            a.merge(b);
-        }
-        for (a, b) in self.occupancy_bits.iter_mut().zip(&o.occupancy_bits) {
-            *a += *b;
-        }
-        self.max_excess_ps = self.max_excess_ps.max(o.max_excess_ps);
-        // Delivery-derived batch means live entirely on the last-hop
-        // shard; adopt the one non-empty accumulator.
-        if o.delay_batches.count() > 0 && self.delay_batches.count() == 0 {
-            self.delay_batches = o.delay_batches.clone();
-        }
-        for r in &o.deliveries {
-            self.log_delivery(*r);
-        }
-        self.oracle_violations += o.oracle_violations;
-    }
-
     /// Append to the delivery ring (no-op when the log is off).
     pub(crate) fn log_delivery(&mut self, rec: DeliveryRecord) {
         if self.delivery_cap == 0 {

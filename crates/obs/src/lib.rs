@@ -13,7 +13,7 @@
 //!   Storage is dense arrays sized once at network build — no string keys
 //!   or map lookups on the hot path.
 //! * [`trace`] — a structured packet-lifecycle tracer ([`TraceRing`]):
-//!   arrive / eligible / dispatch / depart / drop / violation events in a
+//!   arrive / eligible / dispatch / depart / violation events in a
 //!   bounded ring (exact head + bounded tail), exported as Chrome
 //!   `trace_event` JSON for `chrome://tracing` or as compact JSONL.
 //! * [`probe`] — the [`Probe`] trait the network executor calls. Every

@@ -76,10 +76,6 @@ pub trait Probe: Send {
     ) {
     }
 
-    /// The packet was discarded (reserved: the lossless executor never
-    /// drops today).
-    fn on_drop(&mut self, _now: Time, _node: u32, _pkt: PacketView) {}
-
     /// The conformance oracle recorded a violation; `tag` names the
     /// violated inequality (`ViolationKind::label`). `node` is
     /// `u32::MAX` for session-level checks.
@@ -273,22 +269,6 @@ impl Probe for ObsProbe {
             aux_ps: slack_ps,
             start_ps: pkt.arrived.as_ps(),
             delivered,
-            tag: "",
-        });
-    }
-
-    fn on_drop(&mut self, now: Time, node: u32, pkt: PacketView) {
-        self.record(TraceEvent {
-            kind: TraceKind::Drop,
-            t_ps: now.as_ps(),
-            session: pkt.session,
-            seq: pkt.seq,
-            node,
-            hop: pkt.hop,
-            len_bits: pkt.len_bits,
-            aux_ps: 0,
-            start_ps: 0,
-            delivered: false,
             tag: "",
         });
     }

@@ -30,9 +30,6 @@ pub enum TraceKind {
     /// Last bit left the node (`aux_ps` = deadline slack; `delivered`
     /// marks the final hop).
     Depart,
-    /// The packet was discarded. The lossless executor never emits this
-    /// today; the kind is part of the schema for finite-buffer variants.
-    Drop,
     /// The conformance oracle recorded a violation (`tag` names the
     /// violated inequality).
     Violation,
@@ -46,7 +43,6 @@ impl TraceKind {
             TraceKind::Eligible => "eligible",
             TraceKind::Dispatch => "dispatch",
             TraceKind::Depart => "depart",
-            TraceKind::Drop => "drop",
             TraceKind::Violation => "violation",
         }
     }

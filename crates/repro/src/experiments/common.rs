@@ -256,9 +256,7 @@ pub fn finish_lit(b: NetworkBuilder) -> Network {
 /// every experiment then submits its shard and trace ring to the hub.
 pub fn finish_with_oracle(b: NetworkBuilder, factory: &DisciplineFactory<'_>) -> Network {
     let mode = lit_net::oracle::global_mode();
-    let mut b = b
-        .shards(lit_net::shard::global_shards())
-        .oracle(OracleConfig::new(mode));
+    let mut b = b.oracle(OracleConfig::new(mode));
     if let Some(p) = lit_obs::hub::global_probe() {
         b = b.probe(p);
     }

@@ -11,18 +11,8 @@
 //! 2. `lit` on the calendar backend — the delivery log must be
 //!    bit-identical to run 1 (same `(seq, created, delivered,
 //!    ref_delay)` for every packet of every session);
-//! 3. `lit` on the timer-wheel backend with batched arrival dispatch —
-//!    also bit-identical to run 1 (one run exercising both hot-path
-//!    optimizations at once);
+//! 3. `lit` on the timer-wheel backend — also bit-identical to run 1;
 //! 4. `virtualclock` on the heap backend — also bit-identical to run 1.
-//!
-//! Plus one sharded-executor pair: `lit` on 2 shards vs 7 shards (oracle
-//! counting on both) — delivery logs and violation counts must match
-//! *each other* exactly. The sharded engine orders same-instant events
-//! canonically rather than in heap-FIFO order, so it is compared against
-//! itself across shard counts (its own determinism contract) instead of
-//! against run 1, whose tie order random scenarios are allowed to
-//! differ in.
 //!
 //! Failures shrink greedily (drop sessions, halve the horizon) and are
 //! written as replayable `.scn` files via [`Scenario::to_text`], so
@@ -144,7 +134,7 @@ fn snapshot(net: &Network, ids: &[SessionId]) -> Vec<(u64, Vec<DeliveryRecord>)>
         .collect()
 }
 
-/// Run one scenario all three ways; `Err` describes the first divergence
+/// Run one scenario all four ways; `Err` describes the first divergence
 /// or oracle violation.
 pub fn check(sc: &Scenario) -> Result<(), String> {
     let stats = Some(fuzz_stats());
@@ -152,8 +142,6 @@ pub fn check(sc: &Scenario) -> Result<(), String> {
         backend: Some(EventBackend::Heap),
         stats,
         oracle: OracleMode::Count,
-        batch: false,
-        shards: None,
         regulator: None,
     });
     lit_heap.oracle_drain_check();
@@ -169,8 +157,6 @@ pub fn check(sc: &Scenario) -> Result<(), String> {
         backend: Some(EventBackend::Calendar),
         stats,
         oracle: OracleMode::Off,
-        batch: false,
-        shards: None,
         regulator: None,
     });
     if snapshot(&calendar, &cal_ids) != base {
@@ -180,56 +166,20 @@ pub fn check(sc: &Scenario) -> Result<(), String> {
         backend: Some(EventBackend::Wheel),
         stats,
         oracle: OracleMode::Off,
-        batch: true,
-        shards: None,
         regulator: None,
     });
     if snapshot(&wheel, &wheel_ids) != base {
-        return Err("wheel backend with batched arrivals diverges from heap".into());
+        return Err("wheel event backend diverges from heap".into());
     }
     let vc = sc.with_discipline("virtualclock")?;
     let (vc_net, vc_ids) = vc.run_opts(&RunOptions {
         backend: Some(EventBackend::Heap),
         stats,
         oracle: OracleMode::Off,
-        batch: false,
-        shards: None,
         regulator: None,
     });
     if snapshot(&vc_net, &vc_ids) != base {
         return Err("virtualclock diverges from leave-in-time with d = L/r".into());
-    }
-    // Sharded-executor determinism: different shard counts must agree
-    // with each other packet for packet and violation for violation
-    // (falls back to scalar — still a valid identity — when the
-    // scenario's links have zero propagation).
-    let (mut sh2, sh2_ids) = sc.run_opts(&RunOptions {
-        backend: Some(EventBackend::Heap),
-        stats,
-        oracle: OracleMode::Count,
-        batch: false,
-        shards: Some(2),
-        regulator: None,
-    });
-    let (mut sh7, sh7_ids) = sc.run_opts(&RunOptions {
-        backend: Some(EventBackend::Heap),
-        stats,
-        oracle: OracleMode::Count,
-        batch: false,
-        shards: Some(7),
-        regulator: None,
-    });
-    sh2.oracle_drain_check();
-    sh7.oracle_drain_check();
-    if snapshot(&sh2, &sh2_ids) != snapshot(&sh7, &sh7_ids) {
-        return Err("sharded executor diverges between 2 and 7 shards".into());
-    }
-    if sh2.oracle_violations() != sh7.oracle_violations() {
-        return Err(format!(
-            "sharded oracle totals diverge: 2 shards {:?} vs 7 shards {:?}",
-            sh2.oracle_totals(),
-            sh7.oracle_totals()
-        ));
     }
     Ok(())
 }
@@ -304,8 +254,6 @@ pub fn trace_arms(sc: &Scenario) -> Vec<(String, Vec<TraceEvent>)> {
                     backend: Some(backend),
                     stats,
                     oracle: OracleMode::Off,
-                    batch: false,
-                    shards: None,
                     regulator: None,
                 },
                 Some(Box::new(ObsProbe::new(BUNDLE_TAIL))),
@@ -486,8 +434,6 @@ mod tests {
                 backend: None,
                 stats: Some(fuzz_stats()),
                 oracle: OracleMode::Off,
-                batch: false,
-                shards: None,
                 regulator: None,
             });
             for id in &ids {

@@ -1,7 +1,7 @@
 //! `lit-repro` — regenerate the paper's figures and tables.
 //!
 //! ```text
-//! lit-repro [--quick] [--seed N] [--threads N] [--shards N] [--replicas N] [--out DIR] <command>
+//! lit-repro [--quick] [--seed N] [--threads N] [--replicas N] [--out DIR] <command>
 //!
 //! commands:
 //!   fig7        max delay/jitter sweep, MIX ON-OFF, AC1/one class
@@ -22,15 +22,8 @@
 //! reproduces the paper's 5/10-minute horizons with a single replica.
 //! Independent runs (sweep points, disciplines, replicas) spread over
 //! `--threads N` workers (default: all cores); the thread count never
-//! changes results, only wall-clock time. `--shards N` splits every
-//! network *within* one run across N per-core shard executors (default:
-//! 1, the scalar engine) — byte-identical results across every `N ≥ 2`,
-//! and identical to `N = 1` on the experiments' staggered traffic where
-//! no two events share an instant (the general tie-order caveat and the
-//! fallback cases are documented at `lit_net::shard`; a run whose
-//! `--shards` request degraded to scalar says so on stderr). Tables
-//! print to stdout and are also written as CSV under `--out` (default
-//! `results/`).
+//! changes results, only wall-clock time. Tables print to stdout and
+//! are also written as CSV under `--out` (default `results/`).
 
 #![forbid(unsafe_code)]
 
@@ -66,7 +59,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lit-repro [--quick] [--seconds N] [--seed N] [--threads N] [--shards N] [--replicas N] [--out DIR] \
+        "usage: lit-repro [--quick] [--seconds N] [--seed N] [--threads N] [--replicas N] [--out DIR] \
          [--oracle off|count|panic] [--regulator per-session|interleaved] [--metrics FILE] [--trace FILE] \
          [--ac3 exact|fast] [--ladder R1,R2,...] \
          <fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14-17|fig14-17-ac1|tables|firewall|ablation-queue|heavytail|scenario FILE|all>\n\
@@ -104,7 +97,6 @@ fn parse_args() -> Args {
             "--seconds" => seconds = Some(num(&mut it)),
             "--seed" => seed = Some(num(&mut it)),
             "--threads" => threads = Some(num(&mut it).max(1) as usize),
-            "--shards" => lit_net::shard::set_global_shards(num(&mut it) as usize),
             "--replicas" => replicas = Some(num(&mut it).max(1) as u32),
             "--out" => out = PathBuf::from(it.next().unwrap_or_else(|| usage())),
             "--metrics" => metrics = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
@@ -332,20 +324,6 @@ fn run_command(cmd: &str, cfg: &RunConfig, out: &Path) -> bool {
     true
 }
 
-/// After a run: if `--shards` asked for parallelism but some network
-/// builds degraded to the scalar engine (probe installed, panic-mode
-/// oracle, zero-lookahead edge), say so — the results are still valid,
-/// but any wall-clock numbers were measured on the scalar engine.
-fn report_shard_fallbacks() {
-    let fb = lit_net::shard::shard_fallbacks();
-    if lit_net::shard::global_shards() > 1 && fb > 0 {
-        eprintln!(
-            "shards: {fb} network build(s) fell back to the scalar engine \
-             (probe / panic-mode oracle / zero-lookahead edge; results unaffected)"
-        );
-    }
-}
-
 /// After a run: report the process-global conformance-oracle tally (every
 /// Leave-in-Time network built by the experiments feeds it, drain checks
 /// included) and turn a nonzero count into a failing exit.
@@ -384,7 +362,6 @@ fn main() -> ExitCode {
                         eprintln!("ladder: {f}");
                     }
                     write_obs(&args);
-                    report_shard_fallbacks();
                     let verdict = oracle_verdict();
                     return if report.failures.is_empty() {
                         verdict
@@ -408,7 +385,6 @@ fn main() -> ExitCode {
                 };
                 emit(&args.out, "scenario", &sc.run_report());
                 write_obs(&args);
-                report_shard_fallbacks();
                 oracle_verdict()
             }
             Err(e) => {
@@ -434,7 +410,6 @@ fn main() -> ExitCode {
     );
     if run_command(&args.command, &args.cfg, &args.out) {
         write_obs(&args);
-        report_shard_fallbacks();
         oracle_verdict()
     } else {
         usage()

@@ -514,8 +514,33 @@ fn parse_duration(s: &str) -> Result<Duration, String> {
         "ns" => v / 1e9,
         other => return Err(format!("unknown duration unit '{other}'")),
     };
+    // The same bound `Duration::from_secs_f64` asserts: whole picoseconds
+    // in a u64 (about 213 days).
+    if secs * 1e12 > u64::MAX as f64 {
+        return Err(format!("duration '{s}' out of range"));
+    }
     // lit-lint: allow(raw-time-arithmetic, "scenario files carry durations as decimal unit strings; one rounding at parse time, fail-loud on overflow")
     Ok(Duration::from_secs_f64(secs))
+}
+
+/// [`parse_duration`] for a spacing that must be nonzero (`what` names
+/// it in the error).
+fn parse_gap(s: &str, what: &str) -> Result<Duration, String> {
+    let d = parse_duration(s)?;
+    if d == Duration::ZERO {
+        return Err(format!("{what} must be positive"));
+    }
+    Ok(d)
+}
+
+/// Parse a link or session rate in bit/s; zero is rejected because
+/// every transmission and reference-server time divides by it.
+fn parse_rate(v: &str, what: &str) -> Result<u64, String> {
+    match v.parse::<u64>() {
+        Ok(0) => Err(format!("{what}: rate must be positive")),
+        Ok(r) => Ok(r),
+        Err(_) => Err(format!("{what}: bad rate")),
+    }
 }
 
 /// Render a duration as the shortest exact literal [`parse_duration`]
@@ -548,14 +573,6 @@ pub struct RunOptions {
     /// Conformance-oracle mode; armed only when the discipline is `lit`
     /// with an exact eligible queue.
     pub oracle: OracleMode,
-    /// Enable batched arrival dispatch (see
-    /// [`NetworkBuilder::batch_arrivals`]); observably identical, and
-    /// ignored while a probe or the oracle is installed.
-    pub batch: bool,
-    /// Shard-worker override (see [`NetworkBuilder::shards`]); `None`
-    /// follows the process-global `--shards` flag. Results are identical
-    /// for every value; a probe or panic-mode oracle forces scalar.
-    pub shards: Option<usize>,
     /// Regulator-backend override; `None` follows the process-global
     /// `--regulator` flag, then the scenario's `regulator` directive.
     pub regulator: Option<RegulatorBackend>,
@@ -671,8 +688,7 @@ impl Scenario {
                     for tok in toks {
                         match keyval(tok) {
                             ("rate", Some(v)) => {
-                                link.rate_bps =
-                                    v.parse().map_err(|_| err(ln, "nodes: bad rate".into()))?
+                                link.rate_bps = parse_rate(v, "nodes").map_err(|e| err(ln, e))?
                             }
                             ("prop", Some(v)) => {
                                 link.propagation = parse_duration(v).map_err(|e| err(ln, e))?
@@ -776,7 +792,7 @@ impl Scenario {
                                 first = Some((a, b));
                             }
                             ("rate", Some(v)) => {
-                                rate = Some(v.parse().map_err(|_| err(ln, "bad rate".into()))?)
+                                rate = Some(parse_rate(v, "session").map_err(|e| err(ln, e))?)
                             }
                             ("jc", None) => jc = true,
                             ("d", Some(v)) => d = Some(parse_duration(v).map_err(|e| err(ln, e))?),
@@ -881,11 +897,11 @@ impl Scenario {
                 len: len("len")?,
             }),
             "poisson" => Ok(SourceSpec::Poisson {
-                gap: parse_duration(get("gap")?)?,
+                gap: parse_gap(get("gap")?, "poisson: gap")?,
                 len: len("len")?,
             }),
             "cbr" => Ok(SourceSpec::Cbr {
-                gap: parse_duration(get("gap")?)?,
+                gap: parse_gap(get("gap")?, "cbr: gap")?,
                 len: len("len")?,
                 offset: args
                     .iter()
@@ -895,8 +911,11 @@ impl Scenario {
                     .unwrap_or(Duration::ZERO),
             }),
             "burst" => Ok(SourceSpec::Burst {
-                period: parse_duration(get("period")?)?,
-                count: len("count")?,
+                period: parse_gap(get("period")?, "burst: period")?,
+                count: match len("count")? {
+                    0 => return Err("burst: count must be positive".into()),
+                    n => n,
+                },
                 len: len("len")?,
             }),
             other => Err(format!("unknown source kind '{other}'")),
@@ -940,9 +959,7 @@ impl Scenario {
             .seed(self.seed)
             .queue_kind(self.queue)
             .event_backend(opts.backend.unwrap_or(self.backend))
-            .batch_arrivals(opts.batch)
-            .regulator(regulator)
-            .shards(opts.shards.unwrap_or_else(lit_net::shard::global_shards));
+            .regulator(regulator);
         // The oracle's invariants are Leave-in-Time's, checked against an
         // exact deadline queue; other disciplines and the bucketed
         // ablation queue run unchecked.
@@ -1387,6 +1404,36 @@ run 10s
         assert!(Scenario::parse("nodes 1").is_err());
         let e = Scenario::parse("nodes 1\nrun 1s").unwrap_err();
         assert!(e.message.contains("no sessions"));
+    }
+
+    #[test]
+    fn zero_link_rate_is_a_parse_error() {
+        let e = Scenario::parse(
+            "nodes 2 rate=0\nsession route=0..1 rate=1 source=poisson(gap=1ms,len=1)\nrun 1s",
+        )
+        .unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("rate must be positive"), "{e}");
+    }
+
+    #[test]
+    fn zero_cbr_gap_is_a_parse_error() {
+        let e = Scenario::parse(
+            "nodes 2\nsession route=0..1 rate=32000 source=cbr(gap=0ms,len=424)\nrun 1s",
+        )
+        .unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("gap must be positive"), "{e}");
+    }
+
+    #[test]
+    fn horizon_past_the_clock_range_is_a_parse_error() {
+        let e = Scenario::parse(
+            "nodes 2\nsession route=0..1 rate=1 source=poisson(gap=1ms,len=1)\nrun 300000000s",
+        )
+        .unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("out of range"), "{e}");
     }
 
     #[test]

@@ -136,7 +136,7 @@ enum MinLoc {
     Overflow,
 }
 
-/// Cached location of the current minimum, so `peek` + `pop` (the
+/// Cached location of the current minimum, so `peek_key` + `pop` (the
 /// executor's idiom) costs one scan, not two.
 #[derive(Clone, Copy)]
 struct MinPos {
@@ -327,33 +327,6 @@ impl<T> CalendarQueue<T> {
         let m = self.find_min();
         self.hint.set(m);
         m.map(|m| m.key)
-    }
-
-    /// The smallest-key entry (key and a borrow of its item), without
-    /// removing it. Shares the cached position with `peek_key`/`pop`.
-    pub fn peek(&self) -> Option<(u128, &T)> {
-        let pos = match self.hint.get() {
-            Some(h) => h,
-            None => {
-                let m = self.find_min()?;
-                self.hint.set(Some(m));
-                m
-            }
-        };
-        match pos.loc {
-            MinLoc::Ring(idx) => {
-                let s = self.buckets.get(idx).and_then(|b| b.front())?;
-                debug_assert_eq!((s.key, s.seq), (pos.key, pos.seq));
-                Some((s.key, &s.item))
-            }
-            // The heap root IS the hinted entry: find_min compared the
-            // ring winner against ov_min, the mirror of the heap's root.
-            MinLoc::Overflow => {
-                let e = self.overflow.peek()?;
-                debug_assert_eq!((e.key, e.seq), (pos.key, pos.seq));
-                Some((e.key, &e.item))
-            }
-        }
     }
 
     /// Remove and return the smallest-key entry (FIFO among equal keys).

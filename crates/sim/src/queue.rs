@@ -154,32 +154,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Remove and return the earliest event only if `pred` accepts it.
-    ///
-    /// The predicate sees the event's due time and a borrow of its
-    /// payload; when it returns `false` (or the queue is empty) nothing is
-    /// removed. This is the executor's batching primitive: it drains runs
-    /// of same-instant, same-target events without a speculative pop that
-    /// would have to be pushed back (disturbing FIFO seq order).
-    pub fn pop_if<F>(&mut self, pred: F) -> Option<(Time, E)>
-    where
-        F: FnOnce(Time, &E) -> bool,
-    {
-        let take = match &self.inner {
-            Inner::Heap(h) => h.peek().map(|e| pred(e.key, &e.item)),
-            // lit-lint: allow(raw-time-arithmetic, "calendar keys are as_ps() values widened to u128 at push; the narrowing is a lossless roundtrip")
-            Inner::Calendar(c) => c.peek().map(|(k, e)| pred(Time::from_ps(k as u64), e)),
-            Inner::Wheel(w) => w.peek().map(|(k, e)| pred(Time::from_ps(k), e)),
-        };
-        // The peek above caches the min position (calendar/wheel hints),
-        // so the pop that follows does not re-scan.
-        if take == Some(true) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
     /// The due time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
         match &self.inner {
@@ -323,26 +297,5 @@ mod tests {
         assert_eq!(heap.pop(), None);
         assert_eq!(cal.pop(), None);
         assert_eq!(wheel.pop(), None);
-    }
-
-    #[test]
-    fn pop_if_takes_only_matching_front() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.push(Time::from_ms(1), "a");
-            q.push(Time::from_ms(1), "b");
-            q.push(Time::from_ms(2), "c");
-            // Front matches: removed.
-            assert_eq!(
-                q.pop_if(|t, e| t == Time::from_ms(1) && *e == "a"),
-                Some((Time::from_ms(1), "a"))
-            );
-            // Front is "b", predicate rejects: nothing removed.
-            assert_eq!(q.pop_if(|_, e| *e == "c"), None);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.pop(), Some((Time::from_ms(1), "b")));
-            assert_eq!(q.pop_if(|_, _| true), Some((Time::from_ms(2), "c")));
-            assert_eq!(q.pop_if(|_, _| true), None);
-        }
     }
 }

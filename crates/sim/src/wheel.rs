@@ -50,15 +50,13 @@ struct Entry<T> {
     item: T,
 }
 
-/// Cached location of the current minimum, so `peek` + `pop` (the
+/// Cached location of the current minimum, so `peek_key` + `pop` (the
 /// executor's idiom) costs one scan, not two.
 #[derive(Clone, Copy)]
 struct MinPos {
     level: usize,
     slot: usize,
-    idx: usize,
     key: u64,
-    seq: u64,
 }
 
 /// An exact min-priority queue over `u64` keys with amortized-O(1)
@@ -310,9 +308,7 @@ impl<T> TimerWheel<T> {
             return Some(MinPos {
                 level: 0,
                 slot: s,
-                idx: 0,
                 key: e.key,
-                seq: e.seq,
             });
         }
         let mut l = 1;
@@ -327,18 +323,16 @@ impl<T> TimerWheel<T> {
         // lit-lint: allow(no-panic-hot-path, "l < LEVELS: guarded by the check above")
         let s = self.occ[l].trailing_zeros() as usize;
         // lit-lint: allow(no-panic-hot-path, "l < LEVELS and s < SLOTS: 6-bit bitmap index")
-        let (idx, e) = self.slots[l * SLOTS + s]
+        let key = self.slots[l * SLOTS + s]
             .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| (e.key, e.seq))
+            .map(|e| e.key)
+            .min()
             // lit-lint: allow(no-panic-hot-path, "the bitmap tracks emptiness exactly, so the slot queue is non-empty")
             .expect("wheel: occupied slot is empty");
         Some(MinPos {
             level: l,
             slot: s,
-            idx,
-            key: e.key,
-            seq: e.seq,
+            key,
         })
     }
 
@@ -351,29 +345,6 @@ impl<T> TimerWheel<T> {
         let m = self.find_min();
         self.hint.set(m);
         m.map(|m| m.key)
-    }
-
-    /// The smallest-key entry (key and a borrow of its item), without
-    /// removing it. Shares the cached position with `peek_key`/`pop`.
-    pub fn peek(&self) -> Option<(u64, &T)> {
-        let pos = match self.hint.get() {
-            Some(h) => h,
-            None => {
-                let m = self.find_min()?;
-                self.hint.set(Some(m));
-                m
-            }
-        };
-        // lit-lint: allow(no-panic-hot-path, "hint invariant: find_min cached a live position and every mutation clears the hint")
-        let e = &self.slots[pos.level * SLOTS + pos.slot][pos.idx];
-        debug_assert_eq!((e.key, e.seq), (pos.key, pos.seq));
-        Some((e.key, e.item_ref()))
-    }
-}
-
-impl<T> Entry<T> {
-    fn item_ref(&self) -> &T {
-        &self.item
     }
 }
 
@@ -419,12 +390,10 @@ mod tests {
         }
         while !w.is_empty() {
             let pk = w.peek_key().unwrap();
-            let (k2, &v) = w.peek().unwrap();
-            let (k, v2) = w.pop().unwrap();
-            assert_eq!((pk, k2, v), (k, k, v2));
+            let (k, _) = w.pop().unwrap();
+            assert_eq!(pk, k);
         }
         assert_eq!(w.peek_key(), None);
-        assert_eq!(w.peek(), None);
     }
 
     #[test]

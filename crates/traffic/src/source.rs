@@ -24,9 +24,9 @@ pub struct Emission {
 /// non-decreasing `at` values. `None` means the source is exhausted and
 /// will never emit again.
 ///
-/// `Send` is a supertrait so the sharded executor can pin each session's
-/// source to the worker thread owning its first hop; sources are
-/// self-contained generators with no shared handles.
+/// `Send` is a supertrait so a built network stays `Send` and can be
+/// moved to another thread; sources are self-contained generators with
+/// no shared handles.
 pub trait Source: Send {
     /// Produce the next emission, advancing internal state.
     fn next_emission(&mut self, rng: &mut SimRng) -> Option<Emission>;
