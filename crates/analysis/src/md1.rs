@@ -87,11 +87,6 @@ impl Md1 {
         Duration::from_secs_f64(rho * self.service / (2.0 * (1.0 - rho)))
     }
 
-    /// Mean sojourn time (waiting + service).
-    pub fn mean_sojourn(&self) -> Duration {
-        self.mean_wait() + Duration::from_secs_f64(self.service)
-    }
-
     /// Crommelin's alternating series, returning `(cdf, noise)` where
     /// `noise` is an estimate of the absolute cancellation error: the
     /// largest term magnitude times the term count times `f64` epsilon.
@@ -209,11 +204,6 @@ impl Md1 {
             // Delay is always at least the service time.
             None => 1.0,
         }
-    }
-
-    /// `P(D_ref ≤ t)`.
-    pub fn sojourn_cdf(&self, t: Duration) -> f64 {
-        1.0 - self.sojourn_ccdf(t)
     }
 }
 

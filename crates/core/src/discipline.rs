@@ -29,11 +29,12 @@
 
 use lit_net::{
     DelayAssignment, Discipline, LinkParams, Packet, ScheduleDecision, SessionId, SessionSpec,
+    SessionTable,
 };
 use lit_sim::{Duration, Time};
 
 /// One session's eq. 8–11 state at this node. Everything a call reads
-/// sits in one 80-byte row, so an arrival or departure touches one or two
+/// sits in one 96-byte row, so an arrival or departure touches one or two
 /// cache lines however many sessions the node carries.
 ///
 /// `k_prev_ps` holds the eq. 11 recursion state with `0` standing in for
@@ -48,26 +49,31 @@ struct Row {
     rate_bps: u64,
     /// Per-hop delay assignment, lowered to fixed-point coefficients.
     coeffs: lit_net::DelayCoeffs,
-    /// `d_max,s` at this node — enters the holding-time stamp (eq. 9).
+    /// `d_max,s` at this node (eq. 9), which is also `d` of an
+    /// `L_max,s`-bit packet: such packets skip the division.
     d_max_ps: u64,
+    /// `L_max,s / r_s` in ps, the eq. 11 step of an `L_max,s`-bit packet.
+    lr_max_ps: u64,
+    /// `L_max,s` in bits.
+    max_len_bits: u32,
     /// Whether the session requested delay-jitter control (eq. 7 vs 6).
     jitter: bool,
 }
 
 /// One Leave-in-Time scheduler instance (one per server node).
 pub struct LitDiscipline {
-    link: LinkParams,
-    /// Per-session rows indexed by dense `SessionId`; `None` is a vacant
-    /// slot, and a packet from one is a wiring bug.
-    rows: Vec<Option<Row>>,
+    /// `L_MAX / Cₙ` of the outgoing link in ps (eq. 9).
+    lmax_ps: u64,
+    /// Rows of the sessions routed through this node.
+    rows: SessionTable<Row>,
 }
 
 impl LitDiscipline {
     /// A scheduler for a node with the given outgoing link.
     pub fn new(link: LinkParams) -> Self {
         LitDiscipline {
-            link,
-            rows: Vec::new(),
+            lmax_ps: link.lmax_time().as_ps(),
+            rows: SessionTable::new(),
         }
     }
 
@@ -76,13 +82,10 @@ impl LitDiscipline {
         |link: &LinkParams| Box::new(LitDiscipline::new(*link)) as Box<dyn Discipline>
     }
 
-    /// The row of a registered session; panics on a vacant slot.
+    /// The row of a registered session; panics on an unknown id.
     #[inline]
     fn row(&mut self, id: SessionId) -> &mut Row {
-        match self.rows.get_mut(id.index()) {
-            Some(Some(row)) => row,
-            _ => unregistered(),
-        }
+        self.rows.get_mut(id).unwrap_or_else(|| unregistered())
     }
 }
 
@@ -99,26 +102,21 @@ impl Discipline for LitDiscipline {
     }
 
     fn register_session(&mut self, spec: &SessionSpec, delay: &DelayAssignment) {
-        let idx = spec.id.index();
-        if self.rows.len() <= idx {
-            self.rows.resize(idx + 1, None);
-        }
-        if let Some(slot) = self.rows.get_mut(idx) {
-            // A fresh row also restarts the K-recursion at K₀ = t₁.
-            *slot = Some(Row {
-                k_prev_ps: 0,
-                rate_bps: spec.rate_bps,
-                coeffs: delay.coeffs(spec.rate_bps),
-                d_max_ps: delay.d_max(spec.max_len_bits, spec.rate_bps).as_ps(),
-                jitter: spec.jitter_control,
-            });
-        }
+        // A fresh row also restarts the K-recursion at K₀ = t₁.
+        let row = Row {
+            k_prev_ps: 0,
+            rate_bps: spec.rate_bps,
+            coeffs: delay.coeffs(spec.rate_bps),
+            d_max_ps: delay.d_max(spec.max_len_bits, spec.rate_bps).as_ps(),
+            lr_max_ps: spec.len_over_rate_max().as_ps(),
+            max_len_bits: spec.max_len_bits,
+            jitter: spec.jitter_control,
+        };
+        self.rows.insert(spec.id, row);
     }
 
     fn unregister_session(&mut self, id: SessionId) {
-        if let Some(slot) = self.rows.get_mut(id.index()) {
-            *slot = None;
-        }
+        self.rows.remove(id);
     }
 
     fn on_arrival(&mut self, pkt: &mut Packet, now: Time) -> ScheduleDecision {
@@ -131,9 +129,15 @@ impl Discipline for LitDiscipline {
         // Deadline: eq. (10)–(11), with K₀ = t₁ making the first base
         // simply E₁ (since E₁ ≥ t₁ ≥ 0 = the fresh-slot K value).
         let base = eligible.max(Time::from_ps(row.k_prev_ps));
-        let d = Duration::from_ps(row.coeffs.d_ps(pkt.len_bits));
+        let (d_ps, step) = if pkt.len_bits == row.max_len_bits {
+            (row.d_max_ps, Duration::from_ps(row.lr_max_ps))
+        } else {
+            let step = Duration::from_bits_at_rate(pkt.len_bits as u64, row.rate_bps);
+            (row.coeffs.d_ps(pkt.len_bits), step)
+        };
+        let d = Duration::from_ps(d_ps);
         let f = base + d;
-        let k = base + Duration::from_bits_at_rate(pkt.len_bits as u64, row.rate_bps);
+        let k = base + step;
         row.k_prev_ps = k.as_ps();
 
         pkt.deadline = f;
@@ -147,8 +151,7 @@ impl Discipline for LitDiscipline {
         //   A = (F + L_MAX/C − F̂) + (d_max − d_i).
         // Both parenthesized terms are provably non-negative; computed in
         // signed 128-bit picoseconds and checked.
-        let slack_ps = pkt.deadline.as_ps() as i128 + self.link.lmax_time().as_ps() as i128
-            - finish.as_ps() as i128;
+        let slack_ps = pkt.deadline.as_ps() as i128 + self.lmax_ps as i128 - finish.as_ps() as i128;
         // Under an *exact* eligible queue, F̂ < F + L_MAX/C always (the
         // paper's non-saturation invariant; re-checked by the tests via
         // NodeStats::max_lateness). Under an approximate bucketed queue
@@ -319,8 +322,25 @@ mod tests {
     }
 
     #[test]
-    fn a_session_row_fits_in_80_bytes() {
-        // The vacant-slot `None` lives in the `jitter` flag's niche.
-        assert!(std::mem::size_of::<Option<Row>>() <= 80);
+    fn a_session_row_fits_in_96_bytes() {
+        // 80 bytes of eq. 8–11 state plus the `L_max` memo (`lr_max_ps`,
+        // `max_len_bits`); vacancy lives in the table's index, not the row.
+        assert!(std::mem::size_of::<Row>() <= 96);
+    }
+
+    #[test]
+    fn rows_are_held_only_for_registered_sessions() {
+        // Ids are global: a node carrying sessions 0 and 3999 holds two
+        // rows, not four thousand.
+        let mut disc = LitDiscipline::new(LinkParams::paper_t1());
+        for id in [0, 3999] {
+            let s = SessionSpec::atm(SessionId(id), 32_000);
+            disc.register_session(&s, &DelayAssignment::LenOverRate);
+        }
+        assert_eq!(disc.rows.len(), 2);
+        assert_eq!(disc.rows.capacity(), 4000);
+        let mut p = Packet::new(SessionId(3999), 1, 424, Time::ZERO);
+        disc.on_arrival(&mut p, Time::ZERO);
+        assert_eq!(p.deadline, Time::from_us(13_250));
     }
 }

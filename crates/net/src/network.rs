@@ -43,6 +43,8 @@ fn pview(pkt: &Packet) -> PacketView {
 /// Runtime state of one server node.
 struct NodeRt {
     link: LinkParams,
+    /// `L_MAX / Cₙ`, computed once at build.
+    lmax_tx: Duration,
     discipline: Box<dyn Discipline>,
     queue: EligibleQueue<PacketRef>,
     /// The packet currently being transmitted, if any.
@@ -65,6 +67,8 @@ struct SessionRt {
     pending: Option<Emission>,
     /// Reference-server clock `W_{i-1,s}` (eq. 1); `None` before packet 1.
     ref_w: Option<Time>,
+    /// `L_max,s / r_s`, computed once at build.
+    lr_max: Duration,
 }
 
 /// Events of the executor. Packets stay in the engine's arena and events
@@ -169,9 +173,9 @@ impl NetworkBuilder {
     }
 
     /// Select the engine of the future-event set (default:
-    /// [`EventBackend::Heap`]). Both backends pop the identical event
-    /// sequence, so this is purely a performance knob; the calendar pays
-    /// off on large event populations.
+    /// [`EventBackend::Heap`]). All three backends pop the identical event
+    /// sequence, so this is purely a performance knob; the heap is the
+    /// fastest on every measured workload (EXPERIMENTS.md).
     pub fn event_backend(mut self, backend: EventBackend) -> Self {
         self.event_backend = backend;
         self
@@ -247,6 +251,7 @@ impl NetworkBuilder {
             .iter()
             .map(|link| NodeRt {
                 link: *link,
+                lmax_tx: link.lmax_time(),
                 discipline: factory(link),
                 queue: EligibleQueue::new(self.queue_kind),
                 current: None,
@@ -276,6 +281,7 @@ impl NetworkBuilder {
                 next_seq: 1, // the paper numbers packets from 1
                 pending: None,
                 ref_w: None,
+                lr_max: def.spec.len_over_rate_max(),
             };
             rt.pending = rt.source.next_emission(&mut rt.rng);
             if let Some(e) = rt.pending {
@@ -530,7 +536,11 @@ impl Network {
 
         // Reference-server co-simulation (eq. 1): W_i = max(t_i, W_{i-1})
         // + L_i/r, with W_0 = t_1.
-        let service = Duration::from_bits_at_rate(e.len_bits as u64, s.spec.rate_bps);
+        let service = if e.len_bits == s.spec.max_len_bits {
+            s.lr_max
+        } else {
+            Duration::from_bits_at_rate(e.len_bits as u64, s.spec.rate_bps)
+        };
         let w_prev = s.ref_w.unwrap_or(e.at);
         let w = e.at.max(w_prev) + service;
         s.ref_w = Some(w);
@@ -683,7 +693,11 @@ impl Network {
             return;
         };
         let pkt = self.arena.packet(p);
-        let tx = node.link.tx_time(pkt.len_bits);
+        let tx = if pkt.len_bits == node.link.lmax_bits {
+            node.lmax_tx
+        } else {
+            node.link.tx_time(pkt.len_bits)
+        };
         node.discipline.on_service_start(pkt, self.now);
         if let Some(probe) = self.probe.as_deref_mut() {
             probe.on_dispatch(self.now, node_idx, pview(pkt));
@@ -708,7 +722,7 @@ impl Network {
         node.discipline.on_departure(slot, finish);
         let pkt = *slot;
         let propagation = node.link.propagation;
-        let lmax_ps = node.link.lmax_time().as_ps() as i128;
+        let lmax_ps = node.lmax_tx.as_ps() as i128;
 
         // Node accounting.
         // lit-lint: allow(no-panic-hot-path, "node_stats is built with one entry per node")

@@ -225,11 +225,6 @@ pub fn global_violations() -> u64 {
     GLOBAL_VIOLATIONS.load(Ordering::Relaxed)
 }
 
-/// Reset the process-wide violation counter (test isolation).
-pub fn reset_global_violations() {
-    GLOBAL_VIOLATIONS.store(0, Ordering::Relaxed);
-}
-
 /// Fold `n` violations detected *outside* any live `Network` into the
 /// process-wide counter — used by harness-level analytic cross-checks
 /// (e.g. the heavy-traffic ρ-ladder comparisons, which only exist across

@@ -1,9 +1,8 @@
 //! Dense per-session state tables and the `SessionId` free-list slab.
 //!
 //! Session identifiers are dense `u32` indices by construction (see
-//! [`SessionId`]), so per-session scheduler state never needs a hash map:
-//! a flat table indexed by `id.index()` is both O(1) and cache-linear.
-//! Two pieces live here:
+//! [`SessionId`]), so per-session state never needs a hash map. Two pieces
+//! live here:
 //!
 //! * [`IdSlab`] — the allocator that *keeps* ids dense across
 //!   connect/teardown churn. Without it, long-running experiments mint
@@ -11,10 +10,8 @@
 //!   capacity; with it, a torn-down session's slot is reused by the next
 //!   establishment and table footprints are bounded by the peak number of
 //!   concurrent sessions.
-//! * [`SessionTable`] — a small slab keyed by `SessionId` for disciplines
-//!   whose per-session state is a single struct (the baselines). The
-//!   Leave-in-Time scheduler keeps its own `Option` rows (see
-//!   `lit-core`) with the same occupancy discipline.
+//! * [`SessionTable`] — every discipline's per-session state: an O(1)
+//!   index by id plus a dense vector of just the node's own rows.
 
 use crate::packet::SessionId;
 
@@ -80,11 +77,6 @@ impl IdSlab {
         }
     }
 
-    /// Whether `id` is currently allocated.
-    pub fn is_live(&self, id: SessionId) -> bool {
-        self.live.get(id.index()).copied().unwrap_or(false)
-    }
-
     /// Number of currently allocated ids.
     pub fn live_count(&self) -> usize {
         self.live.len() - self.free.len()
@@ -97,15 +89,27 @@ impl IdSlab {
     }
 }
 
-/// A slab of per-session state keyed by dense [`SessionId`]s.
+/// Index value marking an id with no row in a [`SessionTable`]. It is out
+/// of range of `rows` (no table can hold `u32::MAX` rows), so a lookup
+/// needs no separate vacancy test.
+const VACANT: u32 = u32::MAX;
+
+/// Per-session state keyed by [`SessionId`], holding rows only for the
+/// sessions inserted here (at a node: those routed through it).
 ///
-/// Insert/remove/lookup are O(1); capacity is the id high-water mark.
-/// Removing a session frees its state immediately (`Option` slot), so a
-/// reused id starts from a freshly inserted state, never a stale one.
+/// Ids are global, so the table keeps a 4-byte row position per id up to
+/// the largest id inserted plus a dense `Vec<S>` of the live rows in id
+/// order; iteration runs in id order (WFQ's GPS clock sums `f64` weights
+/// in that order). Inserting a new largest id, as network build does,
+/// appends; inserting or removing below it shifts the rows above
+/// (O(capacity), control plane only). A removed session's row is dropped,
+/// so a reused id starts fresh and churn cannot grow the rows.
 #[derive(Clone, Debug)]
 pub struct SessionTable<S> {
-    slots: Vec<Option<S>>,
-    live: usize,
+    /// `slot[id]`: position of `id`'s row in `rows`, or [`VACANT`].
+    slot: Vec<u32>,
+    /// The live rows, in increasing id order.
+    rows: Vec<S>,
 }
 
 impl<S> Default for SessionTable<S> {
@@ -118,41 +122,60 @@ impl<S> SessionTable<S> {
     /// An empty table.
     pub fn new() -> Self {
         SessionTable {
-            slots: Vec::new(),
-            live: 0,
+            slot: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
-    /// Insert (or replace) the state for `id`, growing the table to fit.
-    pub fn insert(&mut self, id: SessionId, state: S) {
-        let idx = id.index();
-        if self.slots.len() <= idx {
-            self.slots.resize_with(idx + 1, || None);
-        }
-        if let Some(slot) = self.slots.get_mut(idx) {
-            if slot.replace(state).is_none() {
-                self.live += 1;
+    /// Move the position of every row at or past `from` one up or down.
+    fn shift_from(&mut self, from: u32, up: bool) {
+        for k in self.slot.iter_mut() {
+            if *k != VACANT && *k >= from {
+                *k = if up { *k + 1 } else { *k - 1 };
             }
         }
     }
 
+    /// Insert the state for `id`, or replace it in place if `id` is live.
+    pub fn insert(&mut self, id: SessionId, state: S) {
+        if let Some(row) = self.get_mut(id) {
+            *row = state;
+            return;
+        }
+        let idx = id.index();
+        let at = if idx >= self.slot.len() {
+            self.slot.resize(idx + 1, VACANT);
+            self.rows.len()
+        } else {
+            self.slot.iter().take(idx).filter(|&&k| k != VACANT).count()
+        };
+        if at < self.rows.len() {
+            self.shift_from(at as u32, true);
+        }
+        if let Some(k) = self.slot.get_mut(idx) {
+            *k = at as u32;
+        }
+        self.rows.insert(at, state);
+    }
+
     /// Remove and return the state for `id`, if present.
     pub fn remove(&mut self, id: SessionId) -> Option<S> {
-        let out = self.slots.get_mut(id.index()).and_then(Option::take);
-        if out.is_some() {
-            self.live -= 1;
-        }
-        out
+        let k = self.slot.get_mut(id.index()).filter(|k| **k != VACANT)?;
+        let at = std::mem::replace(k, VACANT);
+        self.shift_from(at, false);
+        Some(self.rows.remove(at as usize))
     }
 
     /// The state for `id`, if present.
+    #[inline]
     pub fn get(&self, id: SessionId) -> Option<&S> {
-        self.slots.get(id.index()).and_then(Option::as_ref)
+        self.rows.get(*self.slot.get(id.index())? as usize)
     }
 
     /// Mutable state for `id`, if present.
+    #[inline]
     pub fn get_mut(&mut self, id: SessionId) -> Option<&mut S> {
-        self.slots.get_mut(id.index()).and_then(Option::as_mut)
+        self.rows.get_mut(*self.slot.get(id.index())? as usize)
     }
 
     /// Whether `id` has state in the table.
@@ -162,35 +185,35 @@ impl<S> SessionTable<S> {
 
     /// Number of live sessions.
     pub fn len(&self) -> usize {
-        self.live
+        self.rows.len()
     }
 
     /// Whether no sessions are live.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.rows.is_empty()
     }
 
-    /// Table capacity: the id high-water mark seen so far.
+    /// The id high-water mark: one past the largest id ever inserted.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.slot.len()
     }
 
     /// Iterate live sessions in id order.
     pub fn iter(&self) -> impl Iterator<Item = (SessionId, &S)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| {
-            s.as_ref()
-                .map(|s| (SessionId(u32::try_from(i).unwrap_or(u32::MAX)), s))
-        })
+        (0..)
+            .map(SessionId)
+            .zip(&self.slot)
+            .filter_map(|(id, &k)| self.rows.get(k as usize).map(|s| (id, s)))
     }
 
     /// Iterate live session states in id order.
     pub fn values(&self) -> impl Iterator<Item = &S> {
-        self.slots.iter().flatten()
+        self.rows.iter()
     }
 
     /// Iterate live session states mutably, in id order.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut S> {
-        self.slots.iter_mut().flatten()
+        self.rows.iter_mut()
     }
 }
 

@@ -244,16 +244,6 @@ fn push_fields(s: &mut String, e: &TraceEvent) {
     }
 }
 
-/// Render events as a JSONL stream (one object per line).
-pub fn to_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 1);
-    for e in events {
-        out.push_str(&jsonl_line(e));
-        out.push('\n');
-    }
-    out
-}
-
 /// Microseconds with picosecond resolution, as Chrome's `ts` expects.
 fn ts_us(ps: u64) -> String {
     format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)

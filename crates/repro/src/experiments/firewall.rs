@@ -25,7 +25,7 @@ use lit_baselines::{
 };
 use lit_core::LitDiscipline;
 use lit_net::{DisciplineFactory, LinkParams, NetworkBuilder, SessionId, SessionSpec};
-use lit_sim::{Duration, Time};
+use lit_sim::Duration;
 use lit_traffic::{BurstSource, OnOffConfig, OnOffSource, PoissonSource, ATM_CELL_BITS};
 
 /// Result for one discipline.
@@ -191,9 +191,4 @@ pub fn fcfs_is_worst(rows: &[FirewallRow]) -> bool {
         .filter(|r| !matches!(r.discipline, "fcfs" | "jitter-edd" | "hrr"))
         .all(|r| r.max_delay.as_ps() as u128 * 2 < fcfs.max_delay.as_ps() as u128);
     fcfs.max_delay > fcfs.lit_bound && others_bounded && work_conserving_win
-}
-
-#[allow(dead_code)]
-fn _assert_horizon_type(t: Time) -> Time {
-    t
 }

@@ -7,12 +7,12 @@
 //! non-reproducible across refactors; we break ties with a monotonically
 //! increasing sequence number instead.
 //!
-//! The queue has two interchangeable engines (see [`EventBackend`]):
-//! the default binary heap ([`KeyedEntry`] in a `BinaryHeap`, O(log n) per
-//! op, the long-standing bit-exact baseline) and the amortized-O(1)
-//! [`CalendarQueue`] ring. Both pop the identical `(time, seq)` sequence —
-//! the calendar is an *exact* structure, not the paper's approximate line
-//! -card variant — so the choice is purely a performance knob.
+//! The queue has three interchangeable engines (see [`EventBackend`]):
+//! the default binary heap ([`KeyedEntry`] in a `BinaryHeap`), the
+//! [`CalendarQueue`] ring and the [`TimerWheel`]. All pop the identical
+//! `(time, seq)` sequence, so the choice is purely a performance knob; the
+//! heap is the fastest end to end on every measured workload, the deepest
+//! included (EXPERIMENTS.md, "Event-set backends").
 
 use crate::calendar::CalendarQueue;
 use crate::entry::KeyedEntry;

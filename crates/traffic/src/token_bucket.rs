@@ -147,11 +147,6 @@ impl<S: Source> ShapedSource<S> {
             last_out: Time::ZERO,
         }
     }
-
-    /// The bucket parameters, for bound computation.
-    pub fn bucket_params(&self) -> (u64, u64) {
-        (self.bucket.rate_bps(), self.bucket.depth_bits())
-    }
 }
 
 impl<S: Source> Source for ShapedSource<S> {

@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use lit_net::{NodeId, OracleMode};
+use lit_net::{DeliveryRecord, NodeId, OracleMode, OracleTotals, RegulatorBackend, StatsConfig};
 use lit_obs::metrics::ObsShard;
 use lit_obs::{trace::TraceKind, ObsProbe};
 use lit_repro::fuzz;
@@ -242,4 +242,60 @@ fn violation_counters_match_oracle_with_impossible_bounds() {
             .any(|e| e.kind == TraceKind::Violation && e.tag == ccdf_label),
         "violation trace event carries the inequality label"
     );
+}
+
+/// Everything a run's path leaves behind: per-session injections and the
+/// full delivery log, the number of events the engine pushed, and the
+/// oracle's totals after the drain check.
+type RunEvidence = (Vec<(u64, u64, Vec<DeliveryRecord>)>, u64, OracleTotals);
+
+fn evidence(sc: &Scenario, regulator: RegulatorBackend, trace_cap: Option<usize>) -> RunEvidence {
+    let opts = RunOptions {
+        oracle: OracleMode::Count,
+        stats: Some(StatsConfig {
+            delivery_log_cap: usize::MAX,
+            ..StatsConfig::default()
+        }),
+        regulator: Some(regulator),
+        ..RunOptions::default()
+    };
+    let probe = trace_cap.map(|cap| Box::new(ObsProbe::new(cap)) as Box<dyn lit_net::Probe>);
+    let (mut net, ids) = sc.run_probed(&opts, probe);
+    net.oracle_drain_check();
+    let sessions = ids
+        .iter()
+        .map(|&id| {
+            let st = net.session_stats(id);
+            (
+                st.injected,
+                st.delivered,
+                st.deliveries.iter().copied().collect(),
+            )
+        })
+        .collect();
+    (sessions, net.event_count(), net.oracle_totals())
+}
+
+#[test]
+fn observing_a_run_never_changes_its_path() {
+    // Probe off, metrics only (no trace ring) and full tracing must give
+    // the same deliveries, the same event count and the same oracle
+    // totals, under both regulator backends.
+    for seed in 0..8u64 {
+        let sc = fuzz::generate(seed);
+        for regulator in [RegulatorBackend::PerSession, RegulatorBackend::Interleaved] {
+            let off = evidence(&sc, regulator, None);
+            assert!(
+                off.0.iter().any(|s| !s.2.is_empty()),
+                "seed {seed}: the scenario delivered nothing"
+            );
+            for cap in [0, 1 << 12] {
+                let probed = evidence(&sc, regulator, Some(cap));
+                assert!(
+                    probed == off,
+                    "seed {seed} {regulator:?}: a probe with trace cap {cap} changed the run"
+                );
+            }
+        }
+    }
 }
